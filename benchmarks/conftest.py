@@ -6,14 +6,7 @@ table, and asserts the paper's qualitative shape (who wins, by roughly
 what factor, where crossovers fall).  Parameters are scaled down from the
 headline runs so the whole suite finishes in minutes; run the experiment
 modules directly (``python -m repro.experiments.fig10``) for full scale.
+
+The shared ``report`` helper lives in :mod:`paper_shape_report`, not
+here: every ``conftest.py`` is imported under the one name ``conftest``.
 """
-
-from __future__ import annotations
-
-import pytest
-
-
-def report(result) -> None:
-    """Print an ExperimentResult so `pytest -s` shows the regenerated rows."""
-    print()
-    print(result)

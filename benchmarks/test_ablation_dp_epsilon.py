@@ -8,7 +8,7 @@ super-linearly as the grid refines.
 
 import time
 
-from conftest import report
+from paper_shape_report import report
 
 from repro.core.profile import LinearProfile
 from repro.core.query import Query, QueryStage, plan_query

@@ -7,7 +7,7 @@ inefficiency), far-too-large windows over-drop; the scheduler's choice
 sits on the efficient plateau.
 """
 
-from conftest import report
+from paper_shape_report import report
 
 from repro.core.drop import EarlyDropPolicy, simulate_dispatch
 from repro.experiments.common import ExperimentResult

@@ -6,7 +6,7 @@ steps the offered rate x3 mid-run and measures the bad rate during the
 transition window for several epoch lengths.
 """
 
-from conftest import report
+from paper_shape_report import report
 
 from repro.cluster.nexus import ClusterConfig, NexusCluster
 from repro.experiments.common import ExperimentResult

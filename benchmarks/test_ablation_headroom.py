@@ -7,7 +7,7 @@ so runtime jitter shows up directly as SLO misses.  This ablation
 measures goodput at a fixed offered rate as slack varies.
 """
 
-from conftest import report
+from paper_shape_report import report
 
 from repro.cluster.nexus import ClusterConfig, NexusCluster
 from repro.experiments.common import ExperimentResult

@@ -7,7 +7,7 @@ worst-fit on average, and all policies must produce valid plans.
 """
 
 import numpy as np
-from conftest import report
+from paper_shape_report import report
 
 from repro.core.squishy import schedule_residue
 from repro.experiments.common import ExperimentResult

@@ -1,6 +1,6 @@
 """Bench: Figure 10 -- game analysis case study (scaled down)."""
 
-from conftest import report
+from paper_shape_report import report
 
 from repro.experiments import fig10
 

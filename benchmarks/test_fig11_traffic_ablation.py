@@ -1,6 +1,6 @@
 """Bench: Figure 11 -- traffic analysis case study (scaled down)."""
 
-from conftest import report
+from paper_shape_report import report
 
 from repro.experiments import fig11
 

@@ -1,6 +1,6 @@
 """Bench: Figure 12 -- rush vs non-rush hour traffic throughput."""
 
-from conftest import report
+from paper_shape_report import report
 
 from repro.experiments import fig12
 

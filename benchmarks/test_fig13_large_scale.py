@@ -5,7 +5,7 @@ with the same workload step exercises the full control loop: surge
 detection, GPU allocation, and deallocation after the surge subsides.
 """
 
-from conftest import report
+from paper_shape_report import report
 
 from repro.experiments import fig13
 

@@ -1,6 +1,6 @@
 """Bench: Figure 14 -- GPU multiplexing on one GPU (scaled down)."""
 
-from conftest import report
+from paper_shape_report import report
 
 from repro.experiments import fig14
 

@@ -1,6 +1,6 @@
 """Bench: Figure 15 -- prefix batching throughput and memory."""
 
-from conftest import report
+from paper_shape_report import report
 
 from repro.experiments import fig15
 

@@ -1,6 +1,6 @@
 """Bench: Figure 16 -- squishy vs batch-oblivious scheduling (scaled)."""
 
-from conftest import report
+from paper_shape_report import report
 
 from repro.experiments import fig16
 

@@ -1,6 +1,6 @@
 """Bench: Figure 17 -- query analysis vs even split (scaled down)."""
 
-from conftest import report
+from paper_shape_report import report
 
 from repro.experiments import fig17
 

@@ -1,6 +1,6 @@
 """Bench: Table 2 / Figure 2 -- the squishy-packing worked example."""
 
-from conftest import report
+from paper_shape_report import report
 
 from repro.experiments import fig2
 

@@ -1,7 +1,7 @@
 """Bench: Figures 3-4 -- latency-split average throughput vs gamma."""
 
 import pytest
-from conftest import report
+from paper_shape_report import report
 
 from repro.experiments import fig4
 

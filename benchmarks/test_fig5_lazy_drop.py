@@ -1,6 +1,6 @@
 """Bench: Figure 5 -- lazy dropping bad rate vs alpha."""
 
-from conftest import report
+from paper_shape_report import report
 
 from repro.experiments import fig5
 

@@ -1,6 +1,6 @@
 """Bench: Figure 9 -- max goodput, lazy vs early drop."""
 
-from conftest import report
+from paper_shape_report import report
 
 from repro.experiments import fig9
 

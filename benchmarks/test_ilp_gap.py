@@ -1,6 +1,6 @@
 """Bench: greedy squishy packing vs the exact optimum (Appendix A)."""
 
-from conftest import report
+from paper_shape_report import report
 
 from repro.experiments import ilp_gap
 

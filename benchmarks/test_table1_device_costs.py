@@ -1,6 +1,6 @@
 """Bench: Table 1 -- device latencies and $ per 1000 invocations."""
 
-from conftest import report
+from paper_shape_report import report
 
 from repro.experiments import table1
 

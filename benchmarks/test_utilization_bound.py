@@ -1,6 +1,6 @@
 """Bench: section 7.4 -- utilization vs the theoretical lower bound."""
 
-from conftest import report
+from paper_shape_report import report
 
 from repro.experiments import utilization
 

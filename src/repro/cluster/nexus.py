@@ -29,7 +29,8 @@ from typing import Callable
 from ..core.epoch import EpochScheduler
 from ..core.fleet import Fleet, assign_classes
 from ..core.prefix import PrefixGroup
-from ..core.profile import EffectiveProfile
+from ..core.profile import EffectiveProfile, LinearProfile
+from ..core.profile_tables import remember
 from ..core.query import Query, QueryStage, even_split, plan_query
 from ..core.session import Session, SessionLoad
 from ..core.squishy import SchedulePlan, pack_fleet, squishy_bin_packing
@@ -57,6 +58,14 @@ _DRAIN_GRACE_MS = 1_000.0
 #: scale with ``max_gpus`` -- a fixed literal silently stops the search
 #: short on large clusters (the old ``hi < 64`` bug).
 _EXPAND_SCALE_SLACK = 4.0
+
+#: ``(member model ids, device) -> (prefix profile, suffix profiles,
+#: prefix_len)``: a fused family's profiling is a pure function of its
+#: membership, so epoch re-plans look it up instead of re-deriving it.
+_FAMILY_PROFILES: dict[
+    tuple[tuple[str, ...], str],
+    tuple[LinearProfile, list[LinearProfile], int],
+] = {}
 
 
 @dataclass
@@ -336,17 +345,23 @@ class NexusCluster:
             if len(members) < 2:
                 passthrough.extend(members)
                 continue
-            try:
-                graphs = [get_model(m.session.model_id) for m in members]
-                device = get_device(self.config.device)
-                prefix_prof, suffix_profs, plen = prefix_suffix_profiles(
-                    graphs, device
-                )
-            except (KeyError, ValueError):
-                passthrough.extend(members)
-                continue
+            model_ids = [m.session.model_id for m in members]
+            family = (tuple(model_ids), self.config.device)
+            profiled = _FAMILY_PROFILES.get(family)
+            if profiled is None:
+                try:
+                    graphs = [get_model(model_id) for model_id in model_ids]
+                    device = get_device(self.config.device)
+                    profiled = remember(
+                        _FAMILY_PROFILES, family,
+                        prefix_suffix_profiles(graphs, device),
+                    )
+                except (KeyError, ValueError):
+                    passthrough.extend(members)
+                    continue
+            prefix_prof, suffix_profs, plen = profiled
             group = PrefixGroup(
-                model_ids=[m.session.model_id for m in members],
+                model_ids=model_ids,
                 prefix_profile=prefix_prof,
                 suffix_profiles=suffix_profs,
                 prefix_len=plen,

@@ -156,16 +156,23 @@ class PrefixBatchedProfile(BatchingProfile):
         """
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
+        return self._apportion(batch, self._total_weight())
+
+    def _total_weight(self) -> float:
         total_w = sum(self.weights)
         if total_w <= 0:
             raise ValueError("weights must sum to a positive value")
+        return total_w
+
+    def _apportion(self, batch: int, total_w: float) -> list[int]:
         shares = [w * batch / total_w for w in self.weights]
         subs = [math.floor(s) for s in shares]
         leftover = batch - sum(subs)
         if leftover:
+            # The sort is stable, so equal remainders keep suffix order.
+            remainders = [sub - share for sub, share in zip(subs, shares)]
             by_remainder = sorted(
-                range(len(shares)),
-                key=lambda i: (subs[i] - shares[i], i),
+                range(len(subs)), key=remainders.__getitem__
             )
             for i in by_remainder[:leftover]:
                 subs[i] += 1
@@ -177,6 +184,33 @@ class PrefixBatchedProfile(BatchingProfile):
             if sub >= 1:
                 total += suffix.latency(min(sub, suffix.max_batch))
         return total
+
+    def latency_curve(self) -> tuple[float, ...]:
+        """The whole curve in one pass, ``==`` to ``latency(b)`` per batch.
+
+        The weights follow the offered rates, so a fused curve is rebuilt
+        every plan and cannot be interned; what *is* constant -- the
+        weight total and the prefix and suffix latencies, read from their
+        own tables -- is hoisted out of the per-batch loop.
+        """
+        total_w = self._total_weight()
+        max_batch = self.max_batch
+        prefix_ms = self.prefix.tables().latency_ms
+        # A sub-batch above a suffix's own ceiling runs at that ceiling:
+        # pad short tables with their last entry, so the loop indexes
+        # where ``latency`` clamps.
+        suffix_ms = [
+            lat + lat[-1:] * (max_batch - len(lat))
+            for lat in (s.tables().latency_ms for s in self.suffixes)
+        ]
+        curve = []
+        for batch in range(1, max_batch + 1):
+            total = prefix_ms[batch - 1]
+            for sub, lat in zip(self._apportion(batch, total_w), suffix_ms):
+                if sub:
+                    total += lat[sub - 1]
+            curve.append(total)
+        return tuple(curve)
 
 
 def group_memory_bytes(group: PrefixGroup) -> int:

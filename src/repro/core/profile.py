@@ -24,9 +24,10 @@ non-decreasing).
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
-from .profile_tables import ProfileTables
+from .profile_tables import ProfileTables, interned_tables, remember
 
 __all__ = ["BatchingProfile", "LinearProfile", "TabulatedProfile",
            "EffectiveProfile", "ProfileTables"]
@@ -41,6 +42,9 @@ class BatchingProfile:
 
     Times are milliseconds; batch sizes are positive integers.
     Subclasses implement :meth:`latency`; everything else derives from it.
+    A profile is a constant once the scheduler has consumed it: its
+    lookup tables are built once and, for the plain profile kinds, shared
+    with every equal-valued profile (:meth:`tables_key`).
 
     Attributes:
         name: identifies the (model, device) pair that was profiled.
@@ -64,8 +68,8 @@ class BatchingProfile:
     cpu_workers: int = 1
     memory_model_bytes: int = 0
     memory_per_input_bytes: int = 0
-    #: Lazily built lookup tables (:meth:`tables`); cached per instance,
-    #: deliberately *not* a dataclass field in the subclasses.
+    #: Handle on the lookup tables (:meth:`tables`), resolved on first
+    #: use; deliberately *not* a dataclass field in the subclasses.
     _cached_tables: ProfileTables | None = None
 
     # ------------------------------------------------------------ primitives
@@ -74,25 +78,44 @@ class BatchingProfile:
         """GPU execution latency (ms) of one batch of the given size."""
         raise NotImplementedError
 
-    def _scan_latency(self, batch: int) -> float:
-        """``latency()`` computed without consulting the lookup tables.
+    def latency_curve(self) -> tuple[float, ...]:
+        """``(latency(1), ..., latency(max_batch))``, computed without
+        consulting this profile's own lookup tables.
 
-        The :class:`ProfileTables` builder calls this; subclasses whose
-        ``latency`` reads the tables (:class:`EffectiveProfile`) override
-        it with the raw computation so the build cannot recurse.
+        The :class:`ProfileTables` builder calls this.  Subclasses
+        override it when ``latency`` reads the tables
+        (:class:`EffectiveProfile`, so the build cannot recurse) or when
+        the whole curve is cheaper to build in one pass than point by
+        point (prefix-fused profiles).
         """
-        return self.latency(batch)
+        return tuple(self.latency(b) for b in range(1, self.max_batch + 1))
+
+    def tables_key(self) -> Hashable | None:
+        """The value this profile's curves are a pure function of, or
+        ``None`` when its tables must not be shared.
+
+        Only the exact plain kinds answer (a subclass may redefine
+        ``latency``); ``name`` is never part of the key.
+        """
+        return None
+
+    def _cost_key(self) -> tuple[int, float, float, int, int, int]:
+        return (self.max_batch, self.pre_ms, self.post_ms, self.cpu_workers,
+                self.memory_model_bytes, self.memory_per_input_bytes)
 
     def tables(self) -> ProfileTables:
         """Precomputed monotone lookup tables for this profile.
 
-        Built on first use and cached on the instance; profiles are
-        treated as immutable once the scheduler has consumed them.
+        Resolved on first use through the value-keyed intern table
+        (:func:`~repro.core.profile_tables.interned_tables`) and kept on
+        the instance; profiles are treated as immutable once the
+        scheduler has consumed them, so mutating one afterwards leaves
+        it (and, for an interned kind, its equal-valued peers) on the
+        old curves.
         """
         tab = self._cached_tables
         if tab is None:
-            tab = ProfileTables(self)
-            self._cached_tables = tab
+            tab = self._cached_tables = interned_tables(self)
         return tab
 
     def cpu_time(self, batch: int, pooled: bool = True) -> float:
@@ -152,8 +175,9 @@ class BatchingProfile:
         if hit is None:
             # Route through the (possibly overridden) budget search so
             # e.g. LinearProfile's closed form keeps answering.
-            hit = self.max_batch_with_latency(slo_ms / 2.0)
-            memo[slo_ms] = hit
+            hit = remember(
+                memo, slo_ms, self.max_batch_with_latency(slo_ms / 2.0)
+            )
         return hit
 
     def peak_throughput_under_slo(self, slo_ms: float) -> float:
@@ -221,6 +245,11 @@ class LinearProfile(BatchingProfile):
             )
         return self.alpha * batch + self.beta
 
+    def tables_key(self) -> Hashable | None:
+        if type(self) is not LinearProfile:
+            return None
+        return ("lin", self.alpha, self.beta, self._cost_key())
+
     def max_batch_with_latency(self, budget_ms: float) -> int:
         # Closed form beats binary search for the linear case.
         if budget_ms < self.alpha + self.beta:
@@ -280,6 +309,12 @@ class TabulatedProfile(BatchingProfile):
             raise ValueError(f"latency must be non-decreasing: {lats}")
         if self.max_batch == 0:
             self.max_batch = batches[-1]
+
+    def tables_key(self) -> Hashable | None:
+        if type(self) is not TabulatedProfile:
+            return None
+        points = tuple((b, lat) for b, lat in self.points)
+        return ("tab", points, self._cost_key())
 
     def latency(self, batch: int) -> float:
         if batch < 1:
@@ -346,9 +381,29 @@ class EffectiveProfile(BatchingProfile):
         # bases) is expensive to recompute per call.
         self._latency_table: tuple[float, ...] | None = None
 
-    def _scan_latency(self, batch: int) -> float:
-        # Raw computation for the table builder (no table reads).
-        return self.base.occupancy_time(batch, overlap=self.overlap)
+    def latency_curve(self) -> tuple[float, ...]:
+        # Raw computation for the table builder (no reads of *this*
+        # profile's tables): the base curve, taken whole so a fused base
+        # builds it in one pass, with ``occupancy_time``'s CPU fold.
+        base = self.base
+        gpu = base.latency_curve()
+        if self.overlap:
+            return tuple(
+                max(lat, base.cpu_time(b, pooled=True))
+                for b, lat in enumerate(gpu, start=1)
+            )
+        return tuple(
+            lat + base.cpu_time(b, pooled=False)
+            for b, lat in enumerate(gpu, start=1)
+        )
+
+    def tables_key(self) -> Hashable | None:
+        if type(self) is not EffectiveProfile:
+            return None
+        base_key = self.base.tables_key()
+        if base_key is None:
+            return None
+        return ("eff", base_key, self.overlap)
 
     def latency(self, batch: int) -> float:
         table = self._latency_table

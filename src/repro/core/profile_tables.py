@@ -9,9 +9,9 @@ at this rate/SLO" -- thousands of times per epoch.  The profile contract
 prefix-property searches over a monotone curve: they bisect.
 
 :class:`ProfileTables` materializes the per-batch latency, throughput and
-memory curves once per profile (built lazily by
-:meth:`~repro.core.profile.BatchingProfile.tables` and cached on the
-instance), then answers:
+memory curves once per distinct curve (resolved lazily by
+:meth:`~repro.core.profile.BatchingProfile.tables`, which keeps the
+handle on the instance), then answers:
 
 - ``max_batch_with_latency``: binary search over the latency array, with
   the *same probe sequence* as the pre-table search directly over
@@ -24,23 +24,44 @@ instance), then answers:
   to the exact linear scan, preserving legacy results;
 - a per-SLO memo used by ``max_batch_under_slo``.
 
+A profile is a constant of the deployment (the paper profiles a model once
+per GPU type and keeps the curve in its model database), so the tables of
+plain profiles are *interned by value*: :func:`interned_tables` keeps one
+:class:`ProfileTables` per distinct
+:meth:`~repro.core.profile.BatchingProfile.tables_key`, however many
+equal-valued profile objects a plan creates.  Tables therefore outlive any
+one plan, and every memo that rides on them -- and the intern table itself
+-- is bounded by :data:`_MEMO_LIMIT` through :func:`remember`.
+
 Profiles are treated as immutable once the scheduler has consumed them;
 mutating a profile after its tables are built leaves the tables stale.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from collections.abc import Hashable
+from typing import TYPE_CHECKING, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .profile import BatchingProfile
 
-__all__ = ["ProfileTables"]
+__all__ = ["ProfileTables", "interned_tables", "remember"]
 
-#: Residual-memo entries kept per profile before the cache resets; long
-#: dynamic runs with drifting per-epoch rates would otherwise grow the
-#: dict without bound.
-_RESIDUAL_MEMO_LIMIT = 4096
+_K = TypeVar("_K")
+_V = TypeVar("_V")
+
+#: Entries any planner memo (and the intern table) keeps before it resets;
+#: tables outlive a plan, and long dynamic runs with drifting per-epoch
+#: rates would otherwise grow the dicts without bound.
+_MEMO_LIMIT = 4096
+
+
+def remember(memo: dict[_K, _V], key: _K, value: _V) -> _V:
+    """Store ``value`` in a bounded memo: clear at the limit, then insert."""
+    if len(memo) >= _MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 class ProfileTables:
@@ -58,11 +79,12 @@ class ProfileTables:
         slo_memo: ``slo_ms -> max_batch_under_slo`` cache (filled by
             :meth:`BatchingProfile.max_batch_under_slo`, which routes
             through the subclass's ``max_batch_with_latency`` override).
-        p99_memo: ``(rate_rps, slo_ms, mode, device) ->
-            max_batch_under_p99`` -- the device-class component keeps one
-            profile's memo from answering for another fleet class
-            cache (filled by :func:`repro.core.queueing.max_batch_under_p99`,
-            the queueing oracle's p99 analogue of Equation 2).
+        p99_memo: ``(rate_rps, slo_ms, mode, seed, num_arrivals, device)
+            -> max_batch_under_p99`` cache (filled by
+            :func:`repro.core.queueing.max_batch_under_p99`, the queueing
+            oracle's p99 analogue of Equation 2); the device-class
+            component keeps one profile's memo from answering for another
+            fleet class.
     """
 
     __slots__ = ("max_batch", "latency_ms", "throughput_rps", "memory_bytes",
@@ -70,8 +92,7 @@ class ProfileTables:
 
     def __init__(self, profile: BatchingProfile) -> None:
         max_batch = profile.max_batch
-        scan = profile._scan_latency
-        latency_ms = tuple(scan(b) for b in range(1, max_batch + 1))
+        latency_ms = profile.latency_curve()
         self.max_batch = max_batch
         self.latency_ms = latency_ms
         self.throughput_rps = tuple(
@@ -86,7 +107,7 @@ class ProfileTables:
         )
         self.residual_memo: dict[tuple[float, float], int] = {}
         self.slo_memo: dict[float, int] = {}
-        self.p99_memo: dict[tuple[float, float, str, str], int] = {}
+        self.p99_memo: dict[tuple[float, float, str, int, int, str], int] = {}
 
     def max_batch_with_latency(self, budget_ms: float) -> int:
         """Largest batch whose execution latency fits the budget (0 if none).
@@ -141,7 +162,27 @@ class ProfileTables:
                     best = b
                 elif lat[b - 1] > slo_ms:
                     break
-        if len(memo) >= _RESIDUAL_MEMO_LIMIT:
-            memo.clear()
-        memo[key] = best
-        return best
+        return remember(memo, key, best)
+
+
+#: ``tables_key() -> ProfileTables``: one table set per distinct curve.
+_INTERNED: dict[Hashable, ProfileTables] = {}
+
+
+def interned_tables(profile: BatchingProfile) -> ProfileTables:
+    """The tables for ``profile``: shared by value where it has a key.
+
+    Profiles whose :meth:`~repro.core.profile.BatchingProfile.tables_key`
+    is ``None`` (subclasses, fused profiles, ad-hoc test profiles) get a
+    private build.  Keys are values, not identities: a 206-app plan
+    creates hundreds of profile objects but about a dozen distinct
+    curves, and identity-keyed tables would each stay alive with their
+    own growing memos.
+    """
+    key = profile.tables_key()
+    if key is None:
+        return ProfileTables(profile)
+    tables = _INTERNED.get(key)
+    if tables is None:
+        tables = remember(_INTERNED, key, ProfileTables(profile))
+    return tables

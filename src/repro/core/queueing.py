@@ -66,6 +66,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .floatcmp import approx_le
+from .profile_tables import remember
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .profile import BatchingProfile
@@ -479,15 +480,19 @@ def max_batch_under_p99(
 
     Scans caps downward from the profile maximum -- p99 is not monotone
     in the cap, so bisection is unsound -- and stops early once the rate
-    is unstable (smaller caps only have less capacity).  Memoized per
-    ``(rate, slo, mode, device)`` on the profile's tables: memos
-    effectively key on (profile, device class), so a profile object
-    shared across fleet classes cannot alias another class's answer.
+    is unstable (smaller caps only have less capacity).  Memoized on the
+    profile's tables (shared by every equal-valued profile, bounded by
+    :func:`~repro.core.profile_tables.remember`) under everything the
+    answer depends on: ``(rate, slo, mode, seed, num_arrivals, device)``
+    -- the seed and stream length steer the simulation (``"simulate"``,
+    and ``"analytic"`` whenever the oracle falls back to it), and the
+    device class keeps a profile shared across fleet classes from
+    aliasing another class's answer.
     """
     tables = profile.tables()
     if rate_rps <= 0.0 or tables.latency_ms[0] > slo_ms:
         return 0
-    key = (rate_rps, slo_ms, mode, device)
+    key = (rate_rps, slo_ms, mode, seed, num_arrivals, device)
     memo = tables.p99_memo
     hit = memo.get(key)
     if hit is not None:
@@ -503,5 +508,4 @@ def max_batch_under_p99(
         if approx_le(est.p99_ms, slo_ms):
             best = cap
             break
-    memo[key] = best
-    return best
+    return remember(memo, key, best)

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.core.profile import LinearProfile, TabulatedProfile
 from repro.core.session import Session, SessionLoad
+
+# Tier-1 must be a function of the tree: fixed draws, and no example
+# database whose git-ignored leftovers could replay an old failure.
+# ``HYPOTHESIS_PROFILE`` selects another registered profile instead.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from repro.analysis.plan_check import check_plan
 from repro.core.fleet import Fleet, GpuClass, assign_classes
 from repro.core.profile import LinearProfile
 from repro.core.query import Query, QueryStage, plan_query_classes
-from repro.core.queueing import max_batch_under_p99
+from repro.core.queueing import DEFAULT_SIM_ARRIVALS, max_batch_under_p99
 from repro.core.session import Session, SessionLoad
 from repro.core.squishy import (
     Allocation,
@@ -378,8 +378,8 @@ class TestQueueingMemoDeviceKey:
         keys = set(prof.tables().p99_memo)
         # ...but the memo keeps one entry per class, so a profile object
         # shared across classes can never alias another class's answer.
-        assert (50.0, 80.0, "analytic", "a") in keys
-        assert (50.0, 80.0, "analytic", "b") in keys
+        assert (50.0, 80.0, "analytic", 0, DEFAULT_SIM_ARRIVALS, "a") in keys
+        assert (50.0, 80.0, "analytic", 0, DEFAULT_SIM_ARRIVALS, "b") in keys
 
 
 load_specs = st.lists(

@@ -1,0 +1,365 @@
+"""Value-interned ProfileTables and the one-pass fused-prefix curve.
+
+A profile is a constant of the deployment, so ``tables()`` resolves
+through a bounded value-keyed intern table and a prefix-fused profile
+builds its whole latency curve in one pass.  Neither may change a single
+emitted number: these tests pin the interned tables to a fresh build
+field by field, the one-pass curve to the per-batch reference with
+``==``, and whole cluster plans to the plans a non-interning build emits.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import nexus
+from repro.cluster.nexus import ClusterConfig, NexusCluster
+from repro.core import profile as profile_mod
+from repro.core import profile_tables as pt
+from repro.core import squishy
+from repro.core.prefix import PrefixBatchedProfile
+from repro.core.profile import (
+    EffectiveProfile,
+    LinearProfile,
+    TabulatedProfile,
+)
+from repro.core.profile_tables import ProfileTables
+from repro.core.queueing import max_batch_under_p99
+from repro.workloads.apps import all_apps
+
+linear_profiles = st.builds(
+    lambda a, b, pre, post, workers, mb: LinearProfile(
+        name="m", alpha=a, beta=b, pre_ms=pre, post_ms=post,
+        cpu_workers=workers, max_batch=mb,
+        memory_model_bytes=1 << 20, memory_per_input_bytes=4096,
+    ),
+    st.floats(0.05, 5.0), st.floats(0.0, 30.0), st.floats(0.0, 10.0),
+    st.floats(0.0, 2.0), st.integers(1, 8), st.integers(1, 96),
+)
+
+
+@st.composite
+def tabulated_profiles(draw):
+    n = draw(st.integers(1, 5))
+    batches = sorted(draw(st.sets(st.integers(1, 64), min_size=n, max_size=n)))
+    lats = sorted(draw(st.lists(st.floats(1.0, 300.0), min_size=n, max_size=n)))
+    return TabulatedProfile(
+        name="t", points=tuple(zip(batches, lats)),
+        pre_ms=draw(st.floats(0.0, 5.0)), cpu_workers=draw(st.integers(1, 4)),
+    )
+
+
+plain_profiles = st.one_of(linear_profiles, tabulated_profiles())
+internable_profiles = st.one_of(
+    plain_profiles,
+    st.builds(lambda base, ol: EffectiveProfile(base=base, overlap=ol),
+              plain_profiles, st.booleans()),
+)
+
+
+def renamed(profile, name):
+    """An equal-valued copy of ``profile`` under another name."""
+    if isinstance(profile, EffectiveProfile):
+        return EffectiveProfile(
+            name=name, base=renamed(profile.base, name + "-base"),
+            overlap=profile.overlap,
+        )
+    fields = {k: v for k, v in vars(profile).items() if not k.startswith("_")}
+    return type(profile)(**{**fields, "name": name})
+
+
+class TestInternedTablesEqualAFreshBuild:
+    @given(internable_profiles)
+    @settings(max_examples=120, deadline=None)
+    def test_field_by_field(self, profile):
+        interned = profile.tables()
+        fresh = ProfileTables(profile)
+        for field in ("max_batch", "latency_ms", "throughput_rps",
+                      "memory_bytes", "monotone"):
+            assert getattr(interned, field) == getattr(fresh, field), field
+        assert fresh.latency_ms == tuple(
+            profile.base.occupancy_time(b, overlap=profile.overlap)
+            if isinstance(profile, EffectiveProfile) else profile.latency(b)
+            for b in range(1, profile.max_batch + 1)
+        )
+
+    @given(internable_profiles)
+    @settings(max_examples=60, deadline=None)
+    def test_equal_values_share_one_tables_object(self, profile):
+        twin = renamed(profile, "another-name")
+        assert twin is not profile and twin.name != profile.name
+        assert twin.tables() is profile.tables()
+        assert profile.tables() is profile.tables()  # per-instance handle
+
+    def test_a_differing_cost_field_gets_its_own_tables(self):
+        base = LinearProfile(name="m", alpha=1.0, beta=10.0, max_batch=32)
+        for change in ({"alpha": 1.5}, {"beta": 11.0}, {"max_batch": 33},
+                       {"pre_ms": 1.0}, {"post_ms": 1.0}, {"cpu_workers": 2},
+                       {"memory_model_bytes": 1},
+                       {"memory_per_input_bytes": 1}):
+            fields = {**vars(base), **change}
+            fields.pop("_cached_tables", None)
+            assert LinearProfile(**fields).tables() is not base.tables()
+        on = EffectiveProfile(base=base, overlap=True)
+        off = EffectiveProfile(base=base, overlap=False)
+        assert on.tables() is not off.tables()
+        assert on.tables() is not base.tables()
+
+
+class _Doubled(LinearProfile):
+    """Same fields as its parent, another curve: must never share."""
+
+    def latency(self, batch):
+        return 2.0 * super().latency(batch)
+
+
+def _fused(prefix, suffixes, weights):
+    return PrefixBatchedProfile(
+        name="pb", prefix=prefix, suffixes=list(suffixes),
+        weights=list(weights),
+    )
+
+
+class TestWhatNeverInterns:
+    def test_linear_subclass_builds_privately(self):
+        plain = LinearProfile(name="m", alpha=1.0, beta=10.0, max_batch=16)
+        sub = _Doubled(name="m", alpha=1.0, beta=10.0, max_batch=16)
+        assert sub.tables_key() is None
+        assert sub.tables() is not plain.tables()
+        assert sub.tables().latency_ms[0] == 2.0 * plain.tables().latency_ms[0]
+        other = _Doubled(name="m", alpha=1.0, beta=10.0, max_batch=16)
+        assert other.tables() is not sub.tables()
+        # ... nor does an effective view over it
+        assert EffectiveProfile(base=sub).tables_key() is None
+
+    def test_fused_profile_builds_privately(self):
+        trunk = LinearProfile(name="trunk", alpha=1.0, beta=5.0, max_batch=32)
+        head = LinearProfile(name="head", alpha=0.1, beta=0.5, max_batch=32)
+        a = _fused(trunk, [head, head], [0.5, 0.5])
+        b = _fused(trunk, [head, head], [0.5, 0.5])
+        assert a.tables_key() is None
+        assert a.tables() is not b.tables()
+        assert EffectiveProfile(base=a).tables_key() is None
+        assert (EffectiveProfile(base=a).tables()
+                is not EffectiveProfile(base=b).tables())
+
+
+# ------------------------------------------------- the one-pass fused curve
+
+
+def reference_latency(profile, batch):
+    """The parent's per-batch computation, verbatim: tuple sort keys,
+    ``sum(weights)`` per call, suffix latencies through ``latency()``."""
+    weights = profile.weights
+    total_w = sum(weights)
+    shares = [w * batch / total_w for w in weights]
+    subs = [math.floor(s) for s in shares]
+    leftover = batch - sum(subs)
+    if leftover:
+        by_remainder = sorted(
+            range(len(shares)), key=lambda i: (subs[i] - shares[i], i)
+        )
+        for i in by_remainder[:leftover]:
+            subs[i] += 1
+    total = profile.prefix.latency(batch)
+    for sub, suffix in zip(subs, profile.suffixes):
+        if sub >= 1:
+            total += suffix.latency(min(sub, suffix.max_batch))
+    return total, subs
+
+
+def assert_curve_is_the_reference(profile):
+    curve = profile.latency_curve()
+    assert len(curve) == profile.max_batch
+    for batch in range(1, profile.max_batch + 1):
+        expected, subs = reference_latency(profile, batch)
+        assert profile.split_batch(batch) == subs
+        assert profile.latency(batch) == expected     # ==, not approx
+        assert curve[batch - 1] == expected
+    assert ProfileTables(profile).latency_ms == curve
+
+
+suffix_profiles = st.builds(
+    lambda a, b, mb: LinearProfile(name="s", alpha=a, beta=b, max_batch=mb),
+    st.floats(0.001, 0.5), st.floats(0.0, 2.0), st.integers(1, 40),
+)
+
+
+@st.composite
+def fused_profiles(draw):
+    k = draw(st.integers(1, 12))
+    prefix = LinearProfile(
+        name="p", alpha=draw(st.floats(0.05, 2.0)),
+        beta=draw(st.floats(0.0, 20.0)), max_batch=draw(st.integers(1, 64)),
+    )
+    suffixes = draw(st.lists(suffix_profiles, min_size=k, max_size=k))
+    # zero weights are legal as long as the total stays positive
+    weights = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 10.0)), min_size=k, max_size=k,
+    ))
+    weights[draw(st.integers(0, k - 1))] = draw(st.floats(0.01, 10.0))
+    return _fused(prefix, suffixes, weights)
+
+
+class TestOnePassFusedCurve:
+    @given(fused_profiles())
+    @settings(max_examples=60, deadline=None)
+    def test_random_weights_match_exactly(self, profile):
+        assert_curve_is_the_reference(profile)
+
+    def test_sub_batch_above_a_suffix_ceiling_clamps(self):
+        trunk = LinearProfile(name="p", alpha=0.5, beta=3.0, max_batch=64)
+        tiny = LinearProfile(name="s0", alpha=0.2, beta=0.3, max_batch=3)
+        wide = LinearProfile(name="s1", alpha=0.1, beta=0.1, max_batch=64)
+        profile = _fused(trunk, [tiny, wide], [0.9, 0.1])
+        assert profile.split_batch(64)[0] > tiny.max_batch
+        assert_curve_is_the_reference(profile)
+
+    def test_zero_weight_suffix_never_runs(self):
+        trunk = LinearProfile(name="p", alpha=0.5, beta=3.0, max_batch=32)
+        heads = [LinearProfile(name=f"s{i}", alpha=0.1, beta=1.0 + i,
+                               max_batch=32) for i in range(3)]
+        profile = _fused(trunk, heads, [0.0, 1.0, 0.0])
+        assert all(profile.split_batch(b) == [0, b, 0] for b in (1, 7, 32))
+        assert_curve_is_the_reference(profile)
+
+    @pytest.mark.parametrize("k", [17, 40, 200])
+    def test_many_suffixes_at_the_default_ceiling(self, k):
+        rng = random.Random(k)
+        trunk = LinearProfile(name="p", alpha=0.4, beta=6.0, max_batch=256)
+        heads = [
+            LinearProfile(name=f"s{i}", alpha=rng.uniform(0.001, 0.05),
+                          beta=rng.uniform(0.0, 0.3), max_batch=256)
+            for i in range(k)
+        ]
+        # rate-like weights, with exact ties (tie order = suffix order)
+        rates = [rng.choice((20.0, 25.0, 30.0)) * rng.uniform(0.8, 1.2)
+                 for _ in range(k)]
+        rates[3] = rates[5] = rates[11]
+        total = sum(rates)
+        profile = _fused(trunk, heads, [r / total for r in rates])
+        assert_curve_is_the_reference(profile)
+
+    def test_effective_view_consumes_the_curve(self):
+        trunk = LinearProfile(name="p", alpha=0.5, beta=3.0, max_batch=48,
+                              pre_ms=4.0, cpu_workers=2)
+        heads = [LinearProfile(name=f"s{i}", alpha=0.05, beta=0.2,
+                               post_ms=0.4, max_batch=48) for i in range(5)]
+        fused = _fused(trunk, heads, [0.4, 0.3, 0.1, 0.1, 0.1])
+        for overlap in (True, False):
+            eff = EffectiveProfile(base=fused, overlap=overlap)
+            assert eff.tables().latency_ms == tuple(
+                fused.occupancy_time(b, overlap=overlap)
+                for b in range(1, 49)
+            )
+
+
+# ------------------------------------------------------ bounded by one limit
+
+
+class TestEverythingIsBounded:
+    @given(st.lists(
+        st.tuples(st.floats(0.05, 5.0), st.floats(0.0, 30.0),
+                  st.floats(1.0, 500.0), st.floats(20.0, 400.0)),
+        min_size=60, max_size=90,
+    ))
+    @settings(max_examples=40, deadline=None)
+    def test_no_memo_and_not_the_intern_table_outgrow_the_limit(self, draws):
+        limit = 16
+        shared = LinearProfile(name="shared", alpha=1.0, beta=5.0, max_batch=8)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pt, "_MEMO_LIMIT", limit)
+            for alpha, beta, rate, slo in draws:
+                fresh = LinearProfile(name="m", alpha=alpha, beta=beta,
+                                      max_batch=8)
+                for profile in (fresh, shared,
+                                EffectiveProfile(base=fresh, overlap=True)):
+                    profile.max_batch_residual(rate, slo)
+                    profile.max_batch_under_slo(slo)
+                    max_batch_under_p99(profile, rate, slo, num_arrivals=40)
+                    tables = profile.tables()
+                    assert len(tables.residual_memo) <= limit
+                    assert len(tables.slo_memo) <= limit
+                    assert len(tables.p99_memo) <= limit
+                assert len(pt._INTERNED) <= limit
+        pt._INTERNED.clear()  # tables whose memos were capped at 16
+
+    def test_answers_survive_a_reset(self):
+        profile = LinearProfile(name="m", alpha=1.0, beta=5.0, max_batch=32)
+        before = (profile.max_batch_under_slo(90.0),
+                  max_batch_under_p99(profile, 60.0, 90.0))
+        for i in range(pt._MEMO_LIMIT + 8):
+            profile.max_batch_under_slo(10.0 + i)
+        assert len(profile.tables().slo_memo) <= pt._MEMO_LIMIT
+        assert (profile.max_batch_under_slo(90.0),
+                max_batch_under_p99(profile, 60.0, 90.0)) == before
+
+
+# ------------------------------------------------------------ plan identity
+
+
+def _cluster():
+    cluster = NexusCluster(ClusterConfig(expand_to_cluster=False))
+    for i, query in enumerate(all_apps("gtx1080ti", num_games=20)):
+        cluster.add_query(query, 20.0 + 5.0 * (i % 7), "poisson")
+    return cluster
+
+
+def _rate_draws(cluster, n=5):
+    rng = random.Random(23)
+    return [
+        {app.query.name: app.rate_rps * (0.8 + 0.4 * rng.random())
+         for app in cluster.apps}
+        for _ in range(n)
+    ]
+
+
+def _plan_nodes(cluster, rates):
+    """Node for node: id, duty cycle, per-session batch and rate.  Node
+    ids come from a process-wide counter, so they are taken relative to
+    its value when the plan started (i.e. as creation order)."""
+    first = squishy._next_node_id()
+    return [
+        (gpu.node_id - first, gpu.duty_cycle_ms,
+         [(a.session_id, a.batch, a.load.rate_rps) for a in gpu.allocations])
+        for gpu in cluster.plan(rates).gpus
+    ]
+
+
+def _forget():
+    pt._INTERNED.clear()
+    nexus._FAMILY_PROFILES.clear()
+
+
+class TestPlansAreTheParentsPlans:
+    def test_warm_cold_and_cleared_tables_emit_one_plan(self, monkeypatch):
+        draws = _rate_draws(_cluster())
+
+        # the parent's behaviour: every profile object builds its own tables
+        with monkeypatch.context() as patch:
+            patch.setattr(profile_mod, "interned_tables", ProfileTables)
+            _forget()
+            cluster = _cluster()
+            expected = [_plan_nodes(cluster, rates) for rates in draws]
+            assert not pt._INTERNED
+        assert all(
+            any(sid.startswith("pb:") for _, _, allocs in nodes
+                for sid, _, _ in allocs)
+            for nodes in expected
+        )  # every plan exercises prefix fusion
+
+        _forget()
+        cluster = _cluster()
+        cold = [_plan_nodes(cluster, rates) for rates in draws]
+        assert pt._INTERNED and nexus._FAMILY_PROFILES
+        warm = [_plan_nodes(cluster, rates) for rates in draws]
+        cleared = []
+        for rates in draws:
+            _forget()
+            cleared.append(_plan_nodes(cluster, rates))
+        assert cold == expected
+        assert warm == expected
+        assert cleared == expected

@@ -70,15 +70,15 @@ class _NonMonotoneProfile:
     """Deliberate contract violation: latency dips with batch size.
 
     Only the surface :class:`ProfileTables` consumes: ``max_batch``,
-    ``_scan_latency`` and ``memory_bytes``.
+    ``latency_curve`` and ``memory_bytes``.
     """
 
     def __init__(self, lats):
         self.lats = tuple(lats)
         self.max_batch = len(self.lats)
 
-    def _scan_latency(self, batch):
-        return self.lats[batch - 1]
+    def latency_curve(self):
+        return self.lats
 
     def memory_bytes(self, batch):
         return 0
@@ -167,7 +167,7 @@ class TestMemoization:
         profile = LinearProfile(name="m", alpha=1.0, beta=5.0, max_batch=32)
         tables = profile.tables()
         expected = profile.max_batch_residual(75.0, 90.0)
-        for i in range(pt._RESIDUAL_MEMO_LIMIT + 8):
+        for i in range(pt._MEMO_LIMIT + 8):
             profile.max_batch_residual(10.0 + i, 90.0)
-        assert len(tables.residual_memo) <= pt._RESIDUAL_MEMO_LIMIT
+        assert len(tables.residual_memo) <= pt._MEMO_LIMIT
         assert profile.max_batch_residual(75.0, 90.0) == expected

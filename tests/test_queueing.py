@@ -18,6 +18,7 @@ from repro.core.epoch import EpochScheduler
 from repro.core.profile import LinearProfile
 from repro.core.profile_tables import ProfileTables
 from repro.core.queueing import (
+    DEFAULT_SIM_ARRIVALS,
     OracleInapplicable,
     SPILLOVER_CEILING,
     analytic_estimate,
@@ -58,8 +59,8 @@ class _TablesOnlyProfile:
         self.max_batch = len(self.lats)
         self._cached = None
 
-    def _scan_latency(self, batch):
-        return self.lats[batch - 1]
+    def latency_curve(self):
+        return self.lats
 
     def latency(self, batch):
         return self.lats[batch - 1]
@@ -196,8 +197,28 @@ class TestMaxBatchUnderP99:
     def test_memoized_on_tables(self):
         profile = make_profile()
         first = max_batch_under_p99(profile, 200.0, 150.0)
-        assert profile.tables().p99_memo[(200.0, 150.0, "analytic", "")] == first
+        key = (200.0, 150.0, "analytic", 0, DEFAULT_SIM_ARRIVALS, "")
+        assert profile.tables().p99_memo[key] == first
         assert max_batch_under_p99(profile, 200.0, 150.0) == first
+
+    def test_simulation_seeds_do_not_alias(self):
+        """Regression: the memo key left out ``seed`` and ``num_arrivals``,
+        so the first simulated answer was served for every later stream."""
+        profile = make_profile()
+
+        def cap(seed, num_arrivals=300):
+            return max_batch_under_p99(
+                profile, 400.0, 90.0, mode="simulate", seed=seed,
+                num_arrivals=num_arrivals,
+            )
+
+        # Near the feasibility edge a 300-arrival replay's p99 straddles
+        # the SLO, so these two seeds genuinely disagree.
+        assert cap(seed=0) != cap(seed=4)
+        cap(seed=0, num_arrivals=600)
+        keys = set(profile.tables().p99_memo)
+        assert {(400.0, 90.0, "simulate", seed, n, "")
+                for seed, n in ((0, 300), (4, 300), (0, 600))} <= keys
 
     def test_result_meets_slo_analytically(self):
         profile = make_profile()
