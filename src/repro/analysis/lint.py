@@ -54,20 +54,6 @@ runs under both virtual and wall clocks):
                           below ``1e-3`` are treated as float-jitter
                           epsilons and stay legal.
 
-Shard isolation (``simulation/`` only -- the partitioned engine, where
-byte-identical equivalence with the monolithic run depends on every
-cross-shard effect flowing through the window protocol):
-
-- ``cross-shard-direct-mutation``  an attribute write whose base chain
-                          dereferences a shard handle (``shard``,
-                          ``*_shard``, ``shards[...]``): state owned by
-                          a shard may only change through the shard's
-                          own methods or a posted ``ShardMessage``
-                          delivered at a window boundary -- a direct
-                          write lands at an uncontrolled point of the
-                          shard's timeline and silently breaks the
-                          determinism argument.
-
 Observability contract (``cluster/`` only):
 
 - ``untraced-mutation``   a function that mutates request state (assigns
@@ -175,9 +161,6 @@ RULES: dict[str, str] = {
     "raw-gpu-count-literal":
         "bare integer literal bounding a GPU-count quantity in planning "
         "code; derive the bound from max_gpus / the fleet inventory",
-    "cross-shard-direct-mutation":
-        "direct attribute write through a shard handle; cross-shard "
-        "effects must go through shard methods or posted messages",
     "invalid-suppression":
         "nexuslint directive naming an unknown rule, or a line "
         "suppression that suppresses nothing",
@@ -205,12 +188,6 @@ _PLANNER_LOOP_FILES = frozenset({"epoch.py", "squishy.py"})
 #: that runs under both the simulator and wall clocks, where an unnamed
 #: ``50`` can silently be ms in one driver and s in another).
 _TIME_LITERAL_PARTS = frozenset({"serving", "cluster"})
-#: path components where shard-owned state is write-protected (the
-#: partitioned engine whose equivalence proof needs every cross-shard
-#: effect to flow through the window protocol).
-_SHARD_PARTS = frozenset({"simulation"})
-#: identifier names that mark an expression as a shard handle.
-_SHARD_HANDLE_NAMES = frozenset({"shard", "shards"})
 
 # wall-clock: dotted callables that read host time.
 _CLOCK_CALLS = frozenset({
@@ -542,34 +519,6 @@ def _bare_gpu_count_literal(node: ast.expr) -> bool:
     )
 
 
-def _shard_handle_in_chain(node: ast.expr) -> str | None:
-    """The shard-handle name an attribute-write base chain dereferences.
-
-    Walks the base expression of an attribute write (``shard.sim`` in
-    ``shard.sim.x = 1``, ``self.shards[i]`` in ``self.shards[i].y = 2``)
-    and returns the first identifier that names a shard handle --
-    ``shard``, ``*_shard``, or the ``shards`` collection -- or ``None``
-    when the chain never crosses a shard boundary (plain ``self.x``
-    writes inside the shard's own methods).
-    """
-    cur = node
-    while True:
-        if isinstance(cur, ast.Attribute):
-            name = cur.attr
-        elif isinstance(cur, ast.Name):
-            name = cur.id
-        elif isinstance(cur, (ast.Subscript, ast.Call)):
-            cur = cur.value if isinstance(cur, ast.Subscript) else cur.func
-            continue
-        else:
-            return None
-        if name in _SHARD_HANDLE_NAMES or name.endswith("_shard"):
-            return name
-        if isinstance(cur, ast.Name):
-            return None
-        cur = cur.value
-
-
 def _is_dict_view_or_set(node: ast.expr) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
@@ -589,14 +538,13 @@ class _Linter(ast.NodeVisitor):
 
     def __init__(self, path: str, planning: bool, lifecycle: bool,
                  profile_scan: bool = False, planner_loop: bool = False,
-                 time_literals: bool = False, shard_scope: bool = False):
+                 time_literals: bool = False):
         self.path = path
         self.planning = planning
         self.lifecycle = lifecycle
         self.profile_scan = profile_scan
         self.planner_loop = planner_loop
         self.time_literals = time_literals
-        self.shard_scope = shard_scope
         self.findings: list[Finding] = []
 
     # ------------------------------------------------------------ plumbing
@@ -693,33 +641,6 @@ class _Linter(ast.NodeVisitor):
                     f"{dotted}() without a seed is entropy-seeded; pass an "
                     f"explicit seed",
                 )
-
-    # ------------------------------------------------------ shard isolation
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if self.shard_scope:
-            for target in node.targets:
-                self._check_cross_shard_write(target)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        if self.shard_scope:
-            self._check_cross_shard_write(node.target)
-        self.generic_visit(node)
-
-    def _check_cross_shard_write(self, target: ast.expr) -> None:
-        """A write like ``shard.sim.x = 1`` or ``self.shards[i].y = 2``
-        mutates state a shard owns from outside its own methods."""
-        if not isinstance(target, ast.Attribute):
-            return
-        handle = _shard_handle_in_chain(target.value)
-        if handle is not None:
-            self._report(
-                target, "cross-shard-direct-mutation",
-                f"attribute write through shard handle {handle!r} mutates "
-                f"shard-owned state directly; call a shard method or post "
-                f"a ShardMessage for delivery at a window boundary",
-            )
 
     def visit_For(self, node: ast.For) -> None:
         if self.planning:
@@ -958,7 +879,7 @@ class _Linter(ast.NodeVisitor):
 # --------------------------------------------------------------- front end
 
 
-def _scopes_for(rel_path: Path) -> tuple[bool, bool, bool, bool, bool, bool]:
+def _scopes_for(rel_path: Path) -> tuple[bool, bool, bool, bool, bool]:
     parts = set(rel_path.parts[:-1])
     return (
         bool(parts & _PLANNING_PARTS),
@@ -966,7 +887,6 @@ def _scopes_for(rel_path: Path) -> tuple[bool, bool, bool, bool, bool, bool]:
         bool(parts & _PROFILE_SCAN_PARTS),
         "core" in parts and rel_path.name in _PLANNER_LOOP_FILES,
         bool(parts & _TIME_LITERAL_PARTS),
-        bool(parts & _SHARD_PARTS),
     )
 
 
@@ -981,7 +901,7 @@ def lint_source(
     ``SyntaxError`` on unparsable input).  Unknown rule slugs in
     directives are reported here; unused-suppression detection needs the
     whole-program pass and lives in :func:`lint_paths`."""
-    planning, lifecycle, profile_scan, planner_loop, time_literals, shard = (
+    planning, lifecycle, profile_scan, planner_loop, time_literals = (
         _scopes_for(rel_path or Path(path))
     )
     directives = _parse_suppressions(source)
@@ -989,7 +909,7 @@ def lint_source(
     tree = ast.parse(source, filename=path)
     visitor = _Linter(path, planning=planning, lifecycle=lifecycle,
                       profile_scan=profile_scan, planner_loop=planner_loop,
-                      time_literals=time_literals, shard_scope=shard)
+                      time_literals=time_literals)
     visitor.visit(tree)
     raw = visitor.findings + _invalid_suppression_findings(
         path, directives, raw_rules_by_line={}, check_unused=False,
@@ -1054,13 +974,13 @@ def lint_paths(
     # applied after the merge so directive validation sees everything).
     raw_by_file: dict[str, list[Finding]] = {}
     for file, rel, _module, tree, _source in units:
-        planning, lifecycle, profile_scan, planner_loop, time_literals, shard = (
+        planning, lifecycle, profile_scan, planner_loop, time_literals = (
             _scopes_for(rel)
         )
         visitor = _Linter(
             str(file), planning=planning, lifecycle=lifecycle,
             profile_scan=profile_scan, planner_loop=planner_loop,
-            time_literals=time_literals, shard_scope=shard,
+            time_literals=time_literals,
         )
         visitor.visit(tree)
         raw_by_file[str(file)] = visitor.findings

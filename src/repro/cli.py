@@ -145,8 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     mega = sub.add_parser(
         "megascale",
-        help="fleet-scale sharded serving: a compressed day of diurnal "
-             "drift, regional waves and flash crowds "
+        help="fleet-scale serving as federated shards (independent "
+             "clusters fanned across worker processes): a compressed day "
+             "of diurnal drift, regional waves and flash crowds "
              "(docs/sharded-simulation.md)",
     )
     mega.add_argument("--gpus", type=int, default=10_000,

@@ -10,8 +10,14 @@ from .global_scheduler import (
     make_policy,
 )
 from .messages import Request
-from .nexus import AppSpec, ClusterConfig, ClusterResult, NexusCluster, find_max_rate
-from .sharded import equivalence_report, partition_apps, run_sharded
+from .nexus import (
+    AppSpec,
+    ClusterConfig,
+    ClusterResult,
+    NexusCluster,
+    equivalence_report,
+    find_max_rate,
+)
 
 __all__ = [
     "Backend",
@@ -35,6 +41,4 @@ __all__ = [
     "NexusCluster",
     "find_max_rate",
     "equivalence_report",
-    "partition_apps",
-    "run_sharded",
 ]

@@ -18,9 +18,8 @@ This module provides:
 
 from __future__ import annotations
 
-import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, cast
 
 import numpy as np
@@ -217,9 +216,8 @@ class Frontend:
         #: per-query fan-out RNG substreams (lazily created).  Keying the
         #: stream by query name makes each query's draw sequence depend
         #: only on its own submission order -- not on how draws from
-        #: *other* queries interleave -- so a sharded run (which hosts a
-        #: subset of the queries on this frontend replica's counterpart)
-        #: reproduces the monolithic per-query sequences exactly.
+        #: *other* queries interleave -- so adding or removing one app
+        #: leaves every other app's fan-out sequence unchanged.
         self._fanout_rngs: dict[str, np.random.Generator] = {}
         self.retry_policy = retry_policy or RetryPolicy()
         self.dispatched = 0

@@ -22,6 +22,7 @@ The paper's baselines are configurations of the same machinery: see
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -44,9 +45,12 @@ from ..simulation.simulator import Simulator
 from ..workloads.arrivals import poisson_arrivals, uniform_arrivals
 from .faults import FaultInjector, FaultPlan
 from .frontend import Frontend, RetryPolicy
-from .global_scheduler import BackendPool, HeartbeatMonitor, PoolConfig
+from .global_scheduler import HeartbeatMonitor, PoolConfig
 
-__all__ = ["ClusterConfig", "AppSpec", "ClusterResult", "NexusCluster"]
+__all__ = [
+    "ClusterConfig", "AppSpec", "ClusterResult", "NexusCluster",
+    "equivalence_report",
+]
 
 #: post-run drain window beyond the longest SLO: lets in-flight batches
 #: and retry backoffs settle before the run is declared over.
@@ -170,8 +174,8 @@ class ClusterResult:
     fault_log: list[tuple[float, str, int]] | None = None
     #: ``(backend_idx, declared_at_ms)`` failure-detector declarations.
     detections: list[tuple[int, float]] | None = None
-    #: simulator events processed during the run (aggregate across
-    #: shards for sharded execution); 0 for pre-existing pickles.
+    #: simulator events processed during the run; 0 for pre-existing
+    #: pickles.
     events_processed: int = 0
 
     @property
@@ -184,6 +188,47 @@ class ClusterResult:
 
     def goodput_rps(self) -> float:
         return self.query_metrics.goodput_rps(self.duration_ms)
+
+
+def equivalence_report(result: ClusterResult) -> str:
+    """Canonical, execution-order-insensitive digest of a run.
+
+    Two runs that served the same work compare equal byte for byte:
+    per-session integer counters, per-session sorted latency lists, the
+    exactly-rounded total GPU busy time (``math.fsum`` is
+    order-independent), and the fault/detection logs.  Deliberately
+    excluded: request and node ids and per-slot busy keys, which number
+    the run's bookkeeping rather than its outcome.
+    """
+
+    def per_session(collector: MetricsCollector) -> dict[str, object]:
+        out: dict[str, object] = {}
+        by_session: dict[str, list[float]] = {}
+        for rec in collector.records:
+            if rec.latency_ms is not None:
+                by_session.setdefault(rec.session_id, []).append(
+                    rec.latency_ms
+                )
+        stats = collector.per_session_stats()
+        for sid in sorted(stats):
+            entry = dict(stats[sid])
+            entry["latencies"] = sorted(by_session.get(sid, []))
+            out[sid] = entry
+        return out
+
+    payload = {
+        "queries": per_session(result.query_metrics),
+        "invocations": per_session(result.invocation_metrics),
+        "gpu_busy_total_ms": math.fsum(
+            result.invocation_metrics.gpu_busy_ms.values()
+        ),
+        "gpus_used": result.gpus_used,
+        "epochs": result.epochs,
+        "duration_ms": result.duration_ms,
+        "fault_log": result.fault_log,
+        "detections": result.detections,
+    }
+    return json.dumps(payload, sort_keys=True)
 
 
 class NexusCluster:
@@ -586,16 +631,19 @@ class NexusCluster:
 
         injector: FaultInjector | None = None
         monitor: HeartbeatMonitor | None = None
+        epoch_state = {"epochs": 0, "last": 0.0}
         if faults is not None:
             injector = FaultInjector(sim, pool.backends, faults)
             injector.arm()
-            monitor = self._install_ft_loop(core, plan, duration_ms)
+            monitor = self._install_ft_loop(
+                core, plan, duration_ms, epoch_state
+            )
         elif cfg.dynamic:
-            self._install_epoch_loop(core, duration_ms)
+            self._install_epoch_loop(core, duration_ms, epoch_state)
 
         tail_ms = max((a.query.slo_ms for a in self.apps), default=0.0)
         sim.run_until(duration_ms + tail_ms + _DRAIN_GRACE_MS)
-        epochs = getattr(self, "_epoch_state", {"epochs": 0})["epochs"]
+        epochs = int(epoch_state["epochs"])
 
         if warmup_ms > 0:
             warm_query_metrics.records = [
@@ -607,7 +655,7 @@ class NexusCluster:
         return ClusterResult(
             query_metrics=query_metrics,
             invocation_metrics=core.invocation_metrics,
-            plan=pool_plan_snapshot(pool, plan),
+            plan=plan,
             gpus_used=max(pool.gpus_in_use, plan.num_gpus),
             duration_ms=duration_ms - warmup_ms,
             epochs=epochs,
@@ -660,17 +708,18 @@ class NexusCluster:
         return out
 
     def _install_epoch_loop(
-        self, core: RuntimeCore, duration_ms: float
+        self, core: RuntimeCore, duration_ms: float,
+        state: dict[str, float],
     ) -> None:
         """Section 5's control loop: measure, re-plan, redeploy.
 
         The cadence timer lives in :meth:`RuntimeCore.install_epoch_loop`
         (shared with the live serving driver); this method supplies the
         simulator driver's policy -- scratch re-plan from observed
-        whole-query rates.
+        whole-query rates.  ``state`` is the run's epoch counter and
+        last-tick time.
         """
         cfg = self.config
-        state = {"epochs": 0, "last": 0.0}
 
         def on_tick(now: float) -> None:
             span_s = max((now - state["last"]) / 1000.0, 1e-9)
@@ -687,11 +736,10 @@ class NexusCluster:
                                       rates=rates)
 
         core.install_epoch_loop(cfg.epoch_ms, on_tick, until_ms=duration_ms)
-        # Epoch count read lazily via the state dict after the run.
-        self._epoch_state = state
 
     def _install_ft_loop(
-        self, core: RuntimeCore, plan: SchedulePlan, duration_ms: float
+        self, core: RuntimeCore, plan: SchedulePlan, duration_ms: float,
+        state: dict[str, float],
     ) -> HeartbeatMonitor:
         """Fault-tolerant control loop: detect, re-pack, redeploy.
 
@@ -701,7 +749,7 @@ class NexusCluster:
         are re-packed onto survivors under the shrunken GPU cap), and
         regular epoch ticks keep running on the nominal cadence.  The
         timers and detector are the :class:`RuntimeCore`'s; only the
-        re-pack policy lives here.
+        re-pack policy lives here.  ``state`` is the run's epoch counter.
         """
         cfg = self.config
         pool = core.pool
@@ -714,8 +762,6 @@ class NexusCluster:
             fleet=cfg.fleet,
         )
         scheduler.adopt(plan, core.events.now, loads)
-        state = {"epochs": 0, "last": 0.0}
-        self._epoch_state = state
         self._ft_scheduler = scheduler
 
         def redeploy(now: float) -> None:
@@ -750,40 +796,6 @@ class NexusCluster:
 
         core.install_epoch_loop(cfg.epoch_ms, on_tick, until_ms=duration_ms)
         return monitor
-
-    # ------------------------------------------------------------- sharded
-
-    def run_sharded(
-        self,
-        duration_ms: float = 30_000.0,
-        warmup_ms: float = 0.0,
-        n_shards: int = 2,
-        faults: "FaultPlan | None" = None,
-    ) -> ClusterResult:
-        """Serve with the partitioned engine (:mod:`repro.cluster.sharded`).
-
-        Splits the deployment into ``n_shards`` per-component event
-        loops that synchronize only at control barriers; equivalent to
-        :meth:`run` for partition-closed configurations (``n_shards=1``
-        is the monolithic schedule with barrier bookkeeping).
-        """
-        from .sharded import run_sharded
-
-        return run_sharded(
-            self, duration_ms, n_shards, warmup_ms=warmup_ms, faults=faults
-        )
-
-    # ------------------------------------------------------------- measure
-
-    def measure_goodput(
-        self, duration_ms: float = 30_000.0, warmup_ms: float = 2_000.0
-    ) -> ClusterResult:
-        return self.run(duration_ms, warmup_ms)
-
-
-def pool_plan_snapshot(pool: BackendPool, plan: SchedulePlan) -> SchedulePlan:
-    """The plan actually deployed (currently the static plan)."""
-    return plan
 
 
 def find_max_rate(

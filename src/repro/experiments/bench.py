@@ -10,10 +10,10 @@ against (``benchmarks/perf/`` wraps the same functions in
 pytest-benchmark for statistical runs).
 
 All simulated work is seeded and deterministic; only the wall-clock
-readings vary between invocations.  The parallel sweep and the sharded
-scaling legs record the *measured* speedup alongside ``cpu_count`` -- on
-a single-core container they are recorded as ``skipped`` rather than
-reporting process-spawn overhead as a speedup figure.
+readings vary between invocations.  The parallel sweep records the
+*measured* speedup alongside ``cpu_count`` -- on a single-core container
+it is recorded as ``skipped`` rather than reporting process-spawn
+overhead as a speedup figure.
 """
 
 from __future__ import annotations
@@ -58,89 +58,6 @@ def bench_event_loop(num_events: int, seed: int = 0) -> dict:
         "wall_s": round(wall, 4),
         "events_per_s": round(num_events / wall),
     }
-
-
-def _shard_drain(args: tuple[int, int]) -> int:
-    """One shard's independent timeline: drain a seeded noop heap.
-
-    Module-level (picklable) so the sharded bench can fan shard
-    timelines across worker processes, mirroring the federated
-    execution mode in ``experiments/megascale.py``.
-    """
-    num_events, seed = args
-    sim = Simulator()
-    rng = random.Random(seed)
-
-    def _noop() -> None:
-        pass
-
-    for _ in range(num_events):
-        sim.schedule(rng.random() * 1000.0, _noop)
-    sim.run()
-    return sim.events_processed
-
-
-def bench_sharded_simulator(num_events: int, seed: int = 0,
-                            barriers: int = 32) -> dict:
-    """Sharded-engine throughput plus cross-process scaling legs.
-
-    The gate leg drives a one-shard
-    :class:`~repro.simulation.sharded.ShardedSimulator` through
-    ``barriers`` control barriers, so ``events_per_s`` prices in the
-    full marker/window protocol (arm, interrupt, resume) and guards the
-    engine's coordinator overhead.  The scaling legs fan 2 and 4
-    independent shard timelines across worker processes; on a
-    single-core host they are recorded as ``skipped`` -- a measured
-    "speedup" there would only be process-spawn overhead.
-    """
-    from ..simulation.sharded import ShardedSimulator, shard_map
-
-    engine = ShardedSimulator(1)
-    shard = engine.shards[0]
-    rng = random.Random(seed)
-
-    def _noop() -> None:
-        pass
-
-    def _control(now: float) -> None:
-        pass
-
-    t0 = time.perf_counter()
-    for _ in range(num_events):
-        shard.sim.schedule(rng.random() * 1000.0, _noop)
-    for k in range(1, barriers + 1):
-        engine.schedule_barrier(k * 1000.0 / (barriers + 1), _control,
-                                label=f"bench:{k}")
-    engine.run_until(1000.0)
-    wall = time.perf_counter() - t0
-    out = {
-        "events": engine.events_processed,
-        "barriers": barriers,
-        "wall_s": round(wall, 4),
-        "events_per_s": round(engine.events_processed / wall),
-    }
-
-    cpus = os.cpu_count() or 1
-    for n in (2, 4):
-        key = f"scaling_{n}_shards"
-        if cpus < 2:
-            out[key] = {"skipped": True, "cpu_count": cpus}
-            continue
-        per_shard = num_events // n
-        tasks = [(per_shard, seed + 31 * i) for i in range(n)]
-        t0 = time.perf_counter()
-        totals = shard_map(_shard_drain, tasks, workers=min(n, cpus))
-        wall_n = time.perf_counter() - t0
-        aggregate = sum(totals) / wall_n
-        out[key] = {
-            "shards": n,
-            "workers": min(n, cpus),
-            "wall_s": round(wall_n, 4),
-            "aggregate_events_per_s": round(aggregate),
-            # 1.0 = every shard ran at the gate leg's single-shard rate.
-            "efficiency": round(aggregate / (out["events_per_s"] * n), 3),
-        }
-    return out
 
 
 def _dispatch_profile() -> LinearProfile:
@@ -392,10 +309,6 @@ def run_bench(quick: bool = False, workers: int = 4,
         (bench_event_loop(events, seed=i) for i in range(repeats)),
         key=lambda r: r["wall_s"],
     )
-    sharded = min(
-        (bench_sharded_simulator(events, seed=i) for i in range(repeats)),
-        key=lambda r: r["wall_s"],
-    )
     dispatch = min(
         (bench_dispatch(dispatch_ms) for _ in range(repeats)),
         key=lambda r: r["wall_s"],
@@ -429,7 +342,6 @@ def run_bench(quick: bool = False, workers: int = 4,
         "quick": quick,
         "benchmarks": {
             "simulator_event_loop": event_loop,
-            "sharded_simulator": sharded,
             "simulate_dispatch": dispatch,
             "epoch_schedule": epoch_sched,
             "oracle_vs_sim": oracle,
@@ -450,7 +362,6 @@ def run_bench(quick: bool = False, workers: int = 4,
 #: configured workload, so quick and full runs stay comparable here.
 _GATE_METRICS = (
     ("simulator_event_loop", "events_per_s"),
-    ("sharded_simulator", "events_per_s"),
     ("simulate_dispatch", "requests_per_s"),
     ("epoch_schedule", "epochs_per_s"),
     ("oracle_vs_sim", "oracle_queries_per_s"),
@@ -512,13 +423,6 @@ def format_bench(payload: dict) -> str:
     from .common import format_table
 
     b = payload["benchmarks"]
-    sharded = b["sharded_simulator"]
-    scale = sharded.get("scaling_4_shards", {})
-    if scale.get("skipped"):
-        scaling_note = "scaling skipped (1 cpu)"
-    else:
-        scaling_note = (f"{scale['aggregate_events_per_s']:,} agg/s "
-                        f"@4 shards, {scale['efficiency']:.0%} eff")
     sweep = b["parallel_cluster_sweep"]
     if sweep.get("skipped"):
         sweep_cell = "skipped (single-core host)"
@@ -529,9 +433,6 @@ def format_bench(payload: dict) -> str:
     rows = [
         ["event_loop", f"{b['simulator_event_loop']['events_per_s']:,} events/s",
          b["simulator_event_loop"]["wall_s"]],
-        ["sharded_simulator",
-         f"{sharded['events_per_s']:,} events/s ({scaling_note})",
-         sharded["wall_s"]],
         ["simulate_dispatch",
          f"{b['simulate_dispatch']['requests_per_s']:,} reqs/s",
          b["simulate_dispatch"]["wall_s"]],

@@ -5,9 +5,9 @@ what the simulator stack can say about *fleet*-scale serving.  The
 cluster is split into independent shards -- session popularity couples
 sessions to their own shard's GPUs, never across shards -- so each shard
 is a self-contained :class:`~repro.cluster.nexus.NexusCluster` timeline
-that a worker process can run end to end (the *federated* execution
-mode; the in-process barrier-synchronized mode lives in
-:mod:`repro.cluster.sharded`).
+that a worker process can run end to end through
+:func:`~repro.simulation.sharded.shard_map`, the repo's one sharded
+execution mode.
 
 Each shard serves a slice of the sessions under a compressed synthetic
 day: diurnal popularity drift (every session peaks at its own hour),

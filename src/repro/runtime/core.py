@@ -72,9 +72,6 @@ class RuntimeCore:
             failures.
         trace: record the full structured event stream into
             :attr:`trace_buffer` (otherwise metrics-only).
-        shard_id: which partition of a sharded run this core serves
-            (:mod:`repro.cluster.sharded`); 0 for monolithic runs, which
-            are just the one-shard case.
         summary_metrics: megascale mode -- metrics collectors fold each
             outcome into counters at record time instead of retaining
             per-request records.
@@ -88,7 +85,6 @@ class RuntimeCore:
         seed: int = 0,
         retry_policy: "RetryPolicy | None" = None,
         trace: bool = False,
-        shard_id: int = 0,
         summary_metrics: bool = False,
     ) -> None:
         # Imported lazily: repro.cluster.nexus imports this module at
@@ -106,7 +102,6 @@ class RuntimeCore:
         )
 
         self.events = events
-        self.shard_id = shard_id
         self.routing: "RoutingTable" = RoutingTable()
         # Summary mode folds outcomes into counters/histograms at record
         # time instead of retaining per-request records -- megascale runs

@@ -1,20 +1,10 @@
 """Discrete-event simulation substrate (virtual clock + event loop)."""
 
-from .sharded import (
-    CrossShardPlanError,
-    ShardedSimulator,
-    ShardMessage,
-    SimShard,
-    shard_map,
-)
+from .sharded import shard_map
 from .simulator import EventHandle, Simulator
 
 __all__ = [
-    "CrossShardPlanError",
     "EventHandle",
-    "ShardMessage",
-    "ShardedSimulator",
-    "SimShard",
     "Simulator",
     "shard_map",
 ]

@@ -1,222 +1,19 @@
-"""Sharded discrete-event simulation: partitioned heaps, lock-step windows.
+"""Federated sharded simulation: independent shard timelines, fanned out.
 
 A monolithic :class:`~repro.simulation.simulator.Simulator` serializes
 every event in one heap, capping whole-cluster experiments at one core's
-event rate.  Nexus's epoch structure makes the loop partitionable:
-between control-plane actions (epoch re-plans, heartbeat sweeps, fault
-injections) backends execute fixed schedules and interact only with
-their own frontends, so a cluster whose sessions split into disjoint
-*components* can run each component on a private simulator heap and only
-synchronize at control boundaries.
-
-This module is the generic engine; the Nexus-specific wiring (plan
-partitioning, the mirrored control plane) lives in
-:mod:`repro.cluster.sharded`.
-
-Determinism argument
---------------------
-
-The monolithic loop orders events by ``(time, priority, seq)`` where
-``seq`` is the global schedule-call counter.  Restricted to one shard's
-events, only their *relative* order matters, and shard-local callbacks
-schedule only shard-local events -- so replaying a shard's schedule
-calls in monolithic order against a private heap reproduces exactly the
-monolithic order restricted to that shard.  Control events are the one
-place a global position matters: a shard event at the same ``(time,
-priority)`` as a control event runs before or after it depending on
-their seq order.  The engine therefore plants a *marker* event in every
-shard's heap at the moment the monolithic run would have issued the
-control event's ``schedule`` call; each shard's local counter then puts
-the marker at precisely the control event's relative position (shards
-that own none of the control event's effects just burn one seq number,
-which shifts all later seqs uniformly and preserves relative order).
-When a marker fires it interrupts the shard's window *mid-timestamp*;
-the coordinator runs the control action against the paused shards and
-resumes them.  Small configurations are therefore byte-identical to the
-monolithic run -- see ``tests/test_sharded_equivalence.py``.
+event rate.  Fleet-scale runs (``experiments/megascale.py``) are instead
+partitioned *by construction*: each shard's sessions are served only by
+that shard's GPUs, so every shard is a self-contained cluster timeline
+that a worker process can run end to end.  Shards share nothing while
+they run; their summary-mode metrics are merged afterwards.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .simulator import Simulator
-
-__all__ = [
-    "CrossShardPlanError",
-    "ShardMessage",
-    "SimShard",
-    "ShardedSimulator",
-    "shard_map",
-]
-
-
-class CrossShardPlanError(RuntimeError):
-    """A deployment or effect would couple objects owned by two shards.
-
-    Raised loudly instead of silently diverging from the monolithic
-    run: the sharded engine only claims equivalence for partition-closed
-    workloads, and this error is how a violation surfaces.
-    """
-
-
-@dataclass(slots=True)
-class ShardMessage:
-    """A timestamped cross-shard effect, applied at a window boundary."""
-
-    time_ms: float
-    fn: Callable[[], None]
-    priority: int = 0
-
-
-class SimShard:
-    """One partition: a private simulator heap plus its message queue.
-
-    All cross-shard effects reach a shard through :meth:`post` (drained
-    into the private heap at the next window boundary) or through method
-    calls the coordinator makes while the shard is paused at a barrier.
-    Nothing outside the shard may write attributes on shard-owned
-    objects directly -- the ``cross-shard-direct-mutation`` lint rule
-    enforces exactly that discipline in this package.
-    """
-
-    def __init__(self, shard_id: int) -> None:
-        self.shard_id = shard_id
-        self.sim = Simulator()
-        self._mailbox: list[ShardMessage] = []
-        self._fired_token: int | None = None
-
-    # ------------------------------------------------------------ messages
-
-    def post(self, message: ShardMessage) -> None:
-        """Queue a timestamped effect for delivery at the next boundary."""
-        self._mailbox.append(message)
-
-    def deliver(self) -> None:
-        """Drain the mailbox into the private heap, in posting order.
-
-        Called by the coordinator while the shard is paused, so posting
-        order *is* the monolithic schedule-call order and the delivered
-        events take the same relative seq positions they would have had.
-        """
-        mailbox = self._mailbox
-        if not mailbox:
-            return
-        self._mailbox = []
-        for msg in mailbox:
-            self.sim.schedule_at(msg.time_ms, msg.fn, msg.priority)
-
-    # ------------------------------------------------------------- windows
-
-    def arm_marker(self, time_ms: float, token: int, priority: int = 0) -> None:
-        """Plant a window-boundary marker at the control event's position."""
-
-        def fire() -> None:
-            self._fired_token = token
-            self.sim.interrupt()
-
-        self.sim.schedule_at(time_ms, fire, priority)
-
-    def run_window(self, end_ms: float) -> int | None:
-        """Advance until the next marker (returning its token) or ``end_ms``."""
-        self.deliver()
-        self._fired_token = None
-        if self.sim.run_window(end_ms):
-            return self._fired_token
-        return None
-
-
-@dataclass(slots=True)
-class _Barrier:
-    time_ms: float
-    priority: int
-    token: int
-    action: Callable[[float], None]
-    label: str
-
-    def __lt__(self, other: "_Barrier") -> bool:
-        return (self.time_ms, self.priority, self.token) < (
-            other.time_ms, other.priority, other.token
-        )
-
-
-class ShardedSimulator:
-    """Coordinator: N shards advancing in lock-step control windows.
-
-    The agenda holds every scheduled control action; each entry owns a
-    marker in every shard's heap.  :meth:`run_until` repeatedly advances
-    all shards to the next agenda entry (their markers interrupt each
-    window at the exact event-order position the monolithic control
-    event would occupy), runs the action with every shard paused, and
-    finishes with a plain ``run_until`` once the agenda is drained.
-    """
-
-    def __init__(self, n_shards: int) -> None:
-        if n_shards < 1:
-            raise ValueError(f"need at least one shard, got {n_shards}")
-        self.shards = [SimShard(i) for i in range(n_shards)]
-        self._tokens = itertools.count()
-        self._agenda: list[_Barrier] = []
-        self._now = 0.0
-
-    # ----------------------------------------------------------- schedule
-
-    def schedule_barrier(
-        self,
-        time_ms: float,
-        action: Callable[[float], None],
-        label: str = "",
-        priority: int = 0,
-    ) -> int:
-        """Register a control action; plants one marker per shard.
-
-        Must be called at the same point of the setup / control-phase
-        call sequence where the monolithic run would call
-        ``sim.schedule_at`` for the equivalent control event, so the
-        markers land at the control event's seq position in every shard.
-        """
-        token = next(self._tokens)
-        for shard in self.shards:
-            shard.arm_marker(time_ms, token, priority)
-        heapq.heappush(
-            self._agenda, _Barrier(time_ms, priority, token, action, label)
-        )
-        return token
-
-    # ---------------------------------------------------------------- run
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def events_processed(self) -> int:
-        """Aggregate events across shards (markers included)."""
-        return sum(s.sim.events_processed for s in self.shards)
-
-    def run_until(self, end_ms: float) -> None:
-        agenda = self._agenda
-        while agenda and agenda[0].time_ms <= end_ms:
-            barrier = heapq.heappop(agenda)
-            for shard in self.shards:
-                token = shard.run_window(end_ms)
-                if token != barrier.token:
-                    raise AssertionError(
-                        f"shard {shard.shard_id} stopped at marker {token}, "
-                        f"expected {barrier.token} ({barrier.label!r} at "
-                        f"t={barrier.time_ms})"
-                    )
-            self._now = barrier.time_ms
-            barrier.action(barrier.time_ms)
-            for shard in self.shards:
-                shard.deliver()
-        for shard in self.shards:
-            shard.deliver()
-            shard.sim.run_until(end_ms)
-        self._now = end_ms
+__all__ = ["shard_map"]
 
 
 def shard_map(
@@ -224,8 +21,7 @@ def shard_map(
 ) -> list[Any]:
     """Fan independent shard timelines across worker processes.
 
-    The federated execution mode (``experiments/megascale.py``): each
-    spec describes one self-contained shard -- model names, rates,
+    Each spec describes one self-contained shard -- model names, rates,
     picklable rate functions, fault plans -- and the worker rebuilds the
     shard's cluster from the spec, runs its whole timeline, and returns
     a reduced summary.  Live simulator state never crosses the process

@@ -89,9 +89,6 @@ class Simulator:
         self._events_processed = 0
         #: live count of cancelled-but-unpopped events; drives compaction.
         self._cancelled_pending = 0
-        #: set by an interrupt callback during :meth:`run_window` to pause
-        #: the loop at a window boundary (sharded execution).
-        self._interrupted = False
         #: optional observability tracer (``repro.observability.Tracer``);
         #: when attached and recording, each run window emits one
         #: ``sim.window`` span.  Never consulted inside the hot loop.
@@ -187,64 +184,9 @@ class Simulator:
         self._cancelled_pending -= skipped
         self._trace_window(start_ms, start_count)
 
-    def interrupt(self) -> None:
-        """Pause :meth:`run_window` after the current event returns.
-
-        Called from *inside* an event callback (a shard's window-boundary
-        marker); :meth:`run` and :meth:`run_until` ignore it.
-        """
-        self._interrupted = True
-
-    def run_window(self, end_ms: float) -> bool:
-        """Process events up to ``end_ms``, stopping early at an interrupt.
-
-        Like :meth:`run_until`, but an event callback may call
-        :meth:`interrupt` to pause the loop *at its exact heap position*
-        -- remaining events (including same-timestamp ones with later seq
-        numbers) stay queued, and ``now`` is **not** advanced to
-        ``end_ms``.  Returns True when interrupted, False when the window
-        completed.  This is the shard-side primitive of the sharded
-        simulator's lock-step barrier protocol.
-        """
-        start_ms = self._now
-        start_count = self._events_processed
-        heap = self._heap
-        processed = 0
-        skipped = 0
-        interrupted = False
-        while heap and heap[0][0] <= end_ms:
-            time_ms, _, _, event = heappop(heap)
-            if event.cancelled:
-                skipped += 1
-                continue
-            self._now = time_ms
-            processed += 1
-            event.fn()
-            if self._interrupted:
-                self._interrupted = False
-                interrupted = True
-                break
-        self._events_processed += processed
-        self._cancelled_pending -= skipped
-        if not interrupted:
-            self._now = max(self._now, end_ms)
-        self._trace_window(start_ms, start_count)
-        return interrupted
-
     def _trace_window(self, start_ms: float, start_count: int) -> None:
         tracer = self._tracer
         if tracer is not None and tracer.recording:
             tracer.sim_window(
                 start_ms, self._now, self._events_processed - start_count
             )
-
-    def peek_next_time(self) -> float | None:
-        while self._heap and self._heap[0][3].cancelled:
-            heappop(self._heap)
-            self._cancelled_pending -= 1
-        return self._heap[0][0] if self._heap else None
-
-    @property
-    def pending_events(self) -> int:
-        """Heap entries still queued (live + not-yet-popped cancelled)."""
-        return len(self._heap)

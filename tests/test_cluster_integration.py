@@ -3,10 +3,14 @@
 import pytest
 
 from repro.baselines import clipper_config, tf_serving_config
-from repro.cluster.nexus import AppSpec, ClusterConfig, NexusCluster
-from repro.core.query import Query, QueryStage
-from repro.models.profiler import profile
-from repro.workloads.apps import game_queries, traffic_query
+from repro.cluster.faults import FaultPlan
+from repro.cluster.nexus import (
+    AppSpec,
+    ClusterConfig,
+    NexusCluster,
+    equivalence_report,
+)
+from repro.workloads.apps import bb_query, dance_query, game_queries, traffic_query
 from repro.workloads.arrivals import zipf_rates
 
 
@@ -15,6 +19,45 @@ def simple_cluster(rate=100.0, **config_kw) -> NexusCluster:
     cluster = NexusCluster(cfg)
     cluster.add_query(traffic_query(cfg.device), rate_rps=rate)
     return cluster
+
+
+def game_cluster(dynamic: bool = False) -> NexusCluster:
+    """Four game apps whose specialized models fuse into prefix groups."""
+    cfg = ClusterConfig(
+        device="gtx1080ti", max_gpus=16, dynamic=dynamic, epoch_ms=2_000.0
+    )
+    cluster = NexusCluster(cfg)
+    for q, r in zip(game_queries(cfg.device, 4), zipf_rates(120, 4)):
+        cluster.add_query(q, rate_rps=r)
+    return cluster
+
+
+def three_app_cluster() -> NexusCluster:
+    cfg = ClusterConfig(device="gtx1080ti", max_gpus=48, epoch_ms=3_000.0)
+    cluster = NexusCluster(cfg)
+    cluster.add_query(traffic_query(cfg.device), rate_rps=300.0)
+    cluster.add_query(dance_query(cfg.device), rate_rps=250.0)
+    cluster.add_query(bb_query(cfg.device), rate_rps=200.0)
+    return cluster
+
+
+def run_static_warmup():
+    return simple_cluster(rate=80.0).run(8_000.0, warmup_ms=1_000.0)
+
+
+def run_prefix_fused():
+    return game_cluster().run(6_000.0)
+
+
+def run_dynamic_replanning():
+    return game_cluster(dynamic=True).run(8_000.0)
+
+
+def run_crash_and_recovery():
+    faults = FaultPlan()
+    faults.crash(2_500.0, 1)
+    faults.crash(4_000.0, 0, recover_after_ms=3_000.0)
+    return three_app_cluster().run(10_000.0, faults=faults)
 
 
 class TestPlanning:
@@ -88,6 +131,33 @@ class TestServing:
         b = simple_cluster(rate=150.0, seed=3).run(6_000.0, 1_000.0)
         assert a.good_rate == b.good_rate
         assert a.query_metrics.total == b.query_metrics.total
+        assert equivalence_report(a) == equivalence_report(b)
+
+    @pytest.mark.parametrize("scenario, did_work", [
+        pytest.param(run_static_warmup,
+                     lambda r: r.query_metrics.total > 400,
+                     id="static-warmup"),
+        pytest.param(run_prefix_fused,
+                     lambda r: r.query_metrics.total > 400,
+                     id="prefix-fused"),
+        pytest.param(run_dynamic_replanning,
+                     lambda r: r.epochs >= 2,
+                     id="dynamic-replanning"),
+        pytest.param(run_crash_and_recovery,
+                     # crash, crash, recover; both crashes declared
+                     lambda r: len(r.fault_log) == 3 and len(r.detections) == 2,
+                     id="crash-recovery"),
+    ])
+    def test_determinism_scenario(self, scenario, did_work):
+        a, b = scenario(), scenario()
+        assert did_work(a)
+        assert equivalence_report(a) == equivalence_report(b)
+
+    def test_epoch_count_resets_between_runs(self):
+        cluster = simple_cluster(rate=80.0, dynamic=True, epoch_ms=1_000.0)
+        assert cluster.run(4_000.0).epochs >= 2
+        cluster.config.dynamic = False
+        assert cluster.run(2_000.0).epochs == 0
 
     def test_seed_changes_fanout_sampling(self):
         a = simple_cluster(rate=150.0, seed=3).run(6_000.0, 1_000.0)

@@ -516,9 +516,6 @@ SEEDED_VIOLATIONS = {
     "serving/waiver.py": (
         "def f():\n    return 1  # nexuslint: disable=no-such-rule\n"
     ),
-    "simulation/poke.py": (
-        "def f(engine, idx):\n    engine.shards[idx].paused = True\n"
-    ),
 }
 
 

@@ -102,13 +102,3 @@ class TestBenchJson:
         else:
             assert sweep["speedup"] > 0
             assert sweep["identical_results"] is True
-        sharded = b["sharded_simulator"]
-        assert sharded["events_per_s"] > 0
-        assert sharded["events"] > sharded["barriers"]
-        for n in (2, 4):
-            leg = sharded[f"scaling_{n}_shards"]
-            if (os.cpu_count() or 1) < 2:
-                assert leg["skipped"] is True
-            else:
-                assert leg["aggregate_events_per_s"] > 0
-                assert leg["efficiency"] > 0

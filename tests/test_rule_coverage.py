@@ -154,22 +154,6 @@ FIXTURES: dict[str, tuple[dict[str, str], dict[str, str]]] = {
                 return time.time()  # nexuslint: disable=wall-clock
         """},
     ),
-    "cross-shard-direct-mutation": (
-        {"simulation/mod.py": """
-            def crash(engine, idx):
-                engine.shards[idx].sim.pending = None
-
-            def slow(traffic_shard, factor):
-                traffic_shard.load += factor
-        """},
-        {"simulation/mod.py": """
-            def crash(engine, idx, message):
-                engine.shards[idx].post(message)
-
-            def slow(traffic_shard, message):
-                traffic_shard.post(message)
-        """},
-    ),
     "blocking-call-in-async": (
         {
             "util.py": """

@@ -86,14 +86,6 @@ class TestSimulator:
         with pytest.raises(ValueError):
             sim.schedule_at(5.0, lambda: None)
 
-    def test_peek_next_time(self):
-        sim = Simulator()
-        assert sim.peek_next_time() is None
-        h = sim.schedule(7.0, lambda: None)
-        assert sim.peek_next_time() == 7.0
-        h.cancel()
-        assert sim.peek_next_time() is None
-
 
 class TestArrivals:
     def test_uniform_rate_accuracy(self):
@@ -215,7 +207,7 @@ class TestHeapCompaction:
         for _ in range(50_000):
             h = sim.schedule(1_000.0, lambda: None)
             h.cancel()
-        assert sim.pending_events < Simulator._COMPACT_MIN + 2
+        assert len(sim._heap) < Simulator._COMPACT_MIN + 2
 
     def test_compaction_preserves_live_event_order(self):
         sim = Simulator()
@@ -227,7 +219,7 @@ class TestHeapCompaction:
             for _ in range(10):
                 h = sim.schedule(500.0 + i, lambda: None)
                 h.cancel()
-        assert sim.pending_events < 2_200  # compaction actually ran
+        assert len(sim._heap) < 2_200  # compaction actually ran
         sim.run()
         assert fired == list(range(200))
 
@@ -240,39 +232,3 @@ class TestHeapCompaction:
         sim.run()
         assert sim._cancelled_pending == 0
         assert sim.events_processed == 0
-
-
-class TestRunWindow:
-    def test_run_window_without_interrupt_matches_run_until(self):
-        sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule(float(i * 10), lambda i=i: fired.append(i))
-        interrupted = sim.run_window(25.0)
-        assert not interrupted
-        assert fired == [0, 1, 2]
-        assert sim.now == 25.0
-
-    def test_interrupt_pauses_at_exact_heap_position(self):
-        sim = Simulator()
-        fired = []
-        # Three events at the same timestamp; the middle one interrupts.
-        sim.schedule(10.0, lambda: fired.append("a"))
-        sim.schedule(10.0, lambda: (fired.append("marker"), sim.interrupt()))
-        sim.schedule(10.0, lambda: fired.append("b"))
-        interrupted = sim.run_window(100.0)
-        assert interrupted
-        assert fired == ["a", "marker"]
-        assert sim.now == 10.0  # not advanced to the window end
-        # Resuming picks up the same-timestamp tail in FIFO order.
-        interrupted = sim.run_window(100.0)
-        assert not interrupted
-        assert fired == ["a", "marker", "b"]
-        assert sim.now == 100.0
-
-    def test_interrupt_flag_does_not_leak_into_next_window(self):
-        sim = Simulator()
-        sim.schedule(5.0, sim.interrupt)
-        assert sim.run_window(50.0)
-        sim.schedule(1.0, lambda: None)
-        assert not sim.run_window(50.0)
