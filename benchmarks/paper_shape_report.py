@@ -2,8 +2,9 @@
 
 Lives in its own uniquely named module: pytest imports every
 ``conftest.py`` under the name ``conftest``, so ``from conftest import
-report`` resolved to whichever directory's conftest loaded last
-(``benchmarks/perf/conftest.py``) and the suite failed at collection.
+report`` resolves to whichever directory's conftest loaded last; with a
+second conftest anywhere under ``benchmarks/`` the suite fails at
+collection.
 """
 
 from __future__ import annotations

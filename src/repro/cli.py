@@ -19,9 +19,6 @@ Commands:
                              ``model:slo_ms:rate_rps`` triples
 - ``lint``                   run nexuslint, the project's determinism /
                              SLO-safety static analysis (docs/static-analysis.md)
-- ``bench``                  time the simulator/dispatch/cluster hot paths
-                             and the parallel sweep runner; write the
-                             measurements to ``BENCH_simulator.json``
 - ``serve``                  run the live asyncio serving plane: an HTTP
                              frontend over the shared runtime core on
                              wall-clock epochs (docs/serving.md)
@@ -207,30 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="regenerate --baseline from current findings")
     lint.add_argument("--json-out", default=None, metavar="FILE",
                       help="also write a JSON findings artifact")
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the perf benchmarks and write BENCH_simulator.json",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="scaled-down workloads (~10x smaller; for CI "
-                            "smoke runs)")
-    bench.add_argument("--workers", type=int, default=4, metavar="N",
-                       help="worker processes for the parallel sweep "
-                            "(default: 4)")
-    bench.add_argument("--repeats", type=int, default=3, metavar="K",
-                       help="best-of-K runs for the micro-benchmarks "
-                            "(default: 3)")
-    bench.add_argument("--out", default=None, metavar="PATH",
-                       help="output JSON path (default: "
-                            "BENCH_simulator.json in the current "
-                            "directory; '-' to skip writing)")
-    bench.add_argument("--check-against", default=None, metavar="PATH",
-                       dest="check_against",
-                       help="compare rate metrics against a committed "
-                            "baseline JSON; exit 1 on a >30%% "
-                            "regression, exit 0 with a notice when the "
-                            "hardware fingerprint differs")
 
     serve = sub.add_parser(
         "serve",
@@ -480,30 +453,6 @@ def _cmd_lint(paths: list[str], rules: str | None, fmt: str,
     return lint_main(argv)
 
 
-def _cmd_bench(quick: bool, workers: int, repeats: int,
-               out: str | None, check_against: str | None = None) -> int:
-    from .experiments.bench import (
-        DEFAULT_OUT,
-        check_regression,
-        format_bench,
-        run_bench,
-    )
-
-    out_path = DEFAULT_OUT if out is None else (None if out == "-" else out)
-    payload = run_bench(quick=quick, workers=workers, out_path=out_path,
-                        repeats=repeats)
-    print(format_bench(payload))
-    if out_path:
-        print(f"baseline -> {out_path}", file=sys.stderr)
-    if check_against:
-        status, lines = check_regression(payload, check_against)
-        print(f"regression gate vs {check_against}: {status}")
-        for line in lines:
-            print(f"  {line}")
-        return 1 if status == "fail" else 0
-    return 0
-
-
 def _cmd_serve(host: str, port: int, apps: list[str] | None, device: str,
                gpus: int | None, epoch_ms: float, dynamic: bool,
                seed: int) -> int:
@@ -635,9 +584,6 @@ def _dispatch(args) -> int:
         return _cmd_lint(args.paths, args.rules, args.lint_format,
                          args.list_rules, args.baseline,
                          args.write_baseline, args.json_out)
-    if args.command == "bench":
-        return _cmd_bench(args.quick, args.workers, args.repeats, args.out,
-                          args.check_against)
     if args.command == "serve":
         return _cmd_serve(args.host, args.port, args.apps, args.device,
                           args.gpus, args.epoch_ms, args.dynamic, args.seed)

@@ -49,7 +49,7 @@ from .global_scheduler import HeartbeatMonitor, PoolConfig
 
 __all__ = [
     "ClusterConfig", "AppSpec", "ClusterResult", "NexusCluster",
-    "equivalence_report",
+    "equivalence_report", "pool_and_retry",
 ]
 
 #: post-run drain window beyond the longest SLO: lets in-flight batches
@@ -140,8 +140,35 @@ class ClusterConfig:
     #: a log-spaced latency histogram at record time instead of retaining
     #: per-request records (megascale runs would hold millions).  Scalar
     #: metrics and approximate percentiles keep working; record-based
-    #: timelines and ``warmup_ms`` filtering do not.
+    #: timelines do not.
     summary_metrics: bool = False
+
+
+def pool_and_retry(
+    cfg: ClusterConfig, max_backends: int | None
+) -> tuple[PoolConfig, RetryPolicy]:
+    """The pool and retry knobs both drivers serve ``cfg`` with: the
+    simulator (:meth:`NexusCluster.run`) and the live
+    :class:`~repro.serving.runtime.ServingRuntime` differ only in
+    ``max_backends``."""
+    pool_config = PoolConfig(
+        pacing=cfg.pacing,
+        overlap=cfg.overlap,
+        drop_policy=cfg.drop_policy,
+        interference_factor=cfg.interference_factor,
+        paced=cfg.paced,
+        max_backends=max_backends,
+        # Algorithm-1 invariant assertion layer: every deployed squishy
+        # plan must be provably SLO- and memory-sound.  Baselines
+        # (batch-oblivious) are infeasible by design.
+        validate_plans=cfg.scheduler == "squishy",
+        memory_capacity=int(get_device(cfg.device).mem_capacity),
+        fleet=cfg.fleet,
+    )
+    retry_policy = RetryPolicy(
+        max_retries=cfg.retry_max, backoff_ms=cfg.retry_backoff_ms,
+    )
+    return pool_config, retry_policy
 
 
 @dataclass
@@ -588,46 +615,28 @@ class NexusCluster:
         """
         cfg = self.config
         sim = Simulator()
+        # With faults the cluster is physically capped: a dead backend's
+        # slot must not be replaced by drafting.
+        pool_config, retry_policy = pool_and_retry(
+            cfg, cfg.max_gpus if faults is not None else None
+        )
         core = RuntimeCore(
             sim,
-            pool_config=PoolConfig(
-                pacing=cfg.pacing,
-                overlap=cfg.overlap,
-                drop_policy=cfg.drop_policy,
-                interference_factor=cfg.interference_factor,
-                paced=cfg.paced,
-                # With faults the cluster is physically capped: a dead
-                # backend's slot must not be replaced by drafting.
-                max_backends=cfg.max_gpus if faults is not None else None,
-                # Algorithm-1 invariant assertion layer: every deployed
-                # squishy plan must be provably SLO- and memory-sound.
-                # Baselines (batch-oblivious) are infeasible by design.
-                validate_plans=cfg.scheduler == "squishy",
-                memory_capacity=int(get_device(cfg.device).mem_capacity),
-                fleet=cfg.fleet,
-            ),
+            pool_config=pool_config,
             num_frontends=cfg.num_frontends,
             seed=cfg.seed,
-            retry_policy=RetryPolicy(
-                max_retries=cfg.retry_max,
-                backoff_ms=cfg.retry_backoff_ms,
-            ),
+            retry_policy=retry_policy,
             trace=trace,
             summary_metrics=cfg.summary_metrics,
         )
-        if cfg.summary_metrics and warmup_ms > 0:
-            raise ValueError(
-                "summary_metrics folds records at record time; "
-                "warmup filtering needs retained records (use warmup_ms=0)"
-            )
+        # Warm-up is a record-time filter, so it works in summary mode too.
+        core.query_metrics.min_arrival_ms = warmup_ms
         pool = core.pool
-        query_metrics = core.query_metrics
-        warm_query_metrics = MetricsCollector()
 
         plan = self.plan()
         core.deploy(plan, self._aliases)
 
-        self._generate_traffic(sim, core.frontends, duration_ms, warmup_ms)
+        self._generate_traffic(sim, core.frontends, duration_ms)
 
         injector: FaultInjector | None = None
         monitor: HeartbeatMonitor | None = None
@@ -645,15 +654,8 @@ class NexusCluster:
         sim.run_until(duration_ms + tail_ms + _DRAIN_GRACE_MS)
         epochs = int(epoch_state["epochs"])
 
-        if warmup_ms > 0:
-            warm_query_metrics.records = [
-                r for r in query_metrics.records if r.arrival_ms >= warmup_ms
-            ]
-            warm_query_metrics.gpu_busy_ms = query_metrics.gpu_busy_ms
-            query_metrics = warm_query_metrics
-
         return ClusterResult(
-            query_metrics=query_metrics,
+            query_metrics=core.query_metrics,
             invocation_metrics=core.invocation_metrics,
             plan=plan,
             gpus_used=max(pool.gpus_in_use, plan.num_gpus),
@@ -672,7 +674,6 @@ class NexusCluster:
 
     def _generate_traffic(
         self, sim: Simulator, frontends: list[Frontend], duration_ms: float,
-        warmup_ms: float,
     ) -> None:
         cfg = self.config
         for i, app in enumerate(self.apps):

@@ -1,9 +1,12 @@
 """Experiment modules: one per table/figure of the paper's evaluation.
 
 Each module exposes ``run(...)`` returning an
-:class:`~repro.experiments.common.ExperimentResult`; the ``benchmarks/``
-tree wraps these in pytest-benchmark targets, and ``python -m
-repro.experiments.<name>`` prints the reproduced rows.
+:class:`~repro.experiments.common.ExperimentResult`; the paper-shape
+suite (``benchmarks/test_*.py``) wraps these in pytest-benchmark
+targets, and ``python -m repro.experiments.<name>`` prints the
+reproduced rows.  Wall-clock performance is not measured here: the perf
+ledger (``python3 benchmarks/ledger/run.py``, docs/performance.md) is
+the repo's one benchmark.
 
 ==================  ====================================================
 module              reproduces

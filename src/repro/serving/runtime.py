@@ -16,11 +16,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from ..cluster.frontend import RetryPolicy
-from ..cluster.global_scheduler import PoolConfig
-from ..cluster.nexus import ClusterConfig, NexusCluster
+from ..cluster.nexus import ClusterConfig, NexusCluster, pool_and_retry
 from ..core.query import Query, QueryStage
-from ..models import get_device
 from ..runtime.clock import MS_PER_S, EventSource
 from ..runtime.core import ControlLoopHandle, RuntimeCore
 
@@ -106,24 +103,13 @@ class ServingRuntime:
         self.config = cfg
         self.events = events
         self.planner = NexusCluster(cfg)
+        pool_config, retry_policy = pool_and_retry(cfg, cfg.max_gpus)
         self.core = RuntimeCore(
             events,
-            pool_config=PoolConfig(
-                pacing=cfg.pacing,
-                overlap=cfg.overlap,
-                drop_policy=cfg.drop_policy,
-                interference_factor=cfg.interference_factor,
-                paced=cfg.paced,
-                max_backends=cfg.max_gpus,
-                validate_plans=cfg.scheduler == "squishy",
-                memory_capacity=int(get_device(cfg.device).mem_capacity),
-            ),
+            pool_config=pool_config,
             num_frontends=cfg.num_frontends,
             seed=cfg.seed,
-            retry_policy=RetryPolicy(
-                max_retries=cfg.retry_max,
-                backoff_ms=cfg.retry_backoff_ms,
-            ),
+            retry_policy=retry_policy,
             trace=trace,
         )
         self.plan: "SchedulePlan | None" = None

@@ -170,6 +170,23 @@ class TestServing:
         assert all(r.arrival_ms >= 4_000.0
                    for r in res.query_metrics.records)
 
+    def test_summary_metrics_honor_warmup(self):
+        """Warm-up is a record-time filter, so summary mode counts exactly
+        the queries a records-kept run of the same seed keeps."""
+        kept = simple_cluster(rate=120.0, seed=5).run(6_000.0, warmup_ms=2_000.0)
+        folded = simple_cluster(
+            rate=120.0, seed=5, summary_metrics=True
+        ).run(6_000.0, warmup_ms=2_000.0)
+        k, f = kept.query_metrics, folded.query_metrics
+        assert not f.keep_records and f.records == []
+        assert k.total > 400
+        assert min(r.arrival_ms for r in k.records) >= 2_000.0
+        assert (f.total, f.ok_count, f.dropped_count, f.late_count) == (
+            k.total, k.ok_count, k.dropped_count, k.late_count
+        )
+        assert f.per_session_stats() == k.per_session_stats()
+        assert folded.duration_ms == kept.duration_ms == 4_000.0
+
     def test_poisson_arrivals_supported(self):
         cfg = ClusterConfig(device="gtx1080ti", max_gpus=8)
         cluster = NexusCluster(cfg)

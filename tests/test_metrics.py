@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.metrics.collector import MetricsCollector, RequestRecord
 
@@ -124,3 +125,52 @@ class TestTimeSeries:
         series = c.gpu_count_series(100.0, 400.0)
         # Each window reports the count at its start time.
         assert series.values == [4.0, 4.0, 8.0, 8.0]
+
+
+#: (session, arrival_ms, slo_ms, latency_ms or None = dropped); latencies
+#: start above the histogram's 0.1 ms floor, where the bucket bound holds.
+_STREAMS = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c"]),
+        st.floats(0.0, 1_000.0),
+        st.floats(1.0, 500.0),
+        st.one_of(st.none(), st.floats(0.2, 50_000.0)),
+    ),
+    max_size=60,
+)
+
+
+class TestSummaryMode:
+    """``keep_records=False`` folds a stream into the answers retaining it
+    gives: counts, per-session stats and goodput exactly, percentiles to
+    within the documented bucket bound."""
+
+    @given(stream=_STREAMS, min_arrival_ms=st.floats(0.0, 800.0))
+    def test_matches_retained_records(self, stream, min_arrival_ms):
+        kept = MetricsCollector(min_arrival_ms=min_arrival_ms)
+        folded = MetricsCollector(keep_records=False,
+                                  min_arrival_ms=min_arrival_ms)
+        for i, (sid, arrival, slo, latency) in enumerate(stream):
+            r = rec(i, arrival, slo,
+                    None if latency is None else arrival + latency,
+                    dropped=latency is None, session=sid)
+            kept.record(r)
+            folded.record(r)
+
+        assert folded.records == []
+        assert all(r.arrival_ms >= min_arrival_ms for r in kept.records)
+        assert (folded.total, folded.ok_count, folded.dropped_count,
+                folded.late_count) == (kept.total, kept.ok_count,
+                                       kept.dropped_count, kept.late_count)
+        assert folded.per_session_stats() == kept.per_session_stats()
+        assert folded.goodput_rps() == kept.goodput_rps()
+        assert folded.goodput_rps(1_000.0) == kept.goodput_rps(1_000.0)
+        for pct in (0.0, 1.0, 50.0, 90.0, 99.0, 100.0):
+            exact = kept.latency_percentile(pct)
+            approx = folded.latency_percentile(pct)
+            if math.isnan(exact):
+                assert math.isnan(approx)
+                continue
+            # The upper edge of the exact value's bucket: never below it,
+            # at most 5 % above (float slack at the bucket edges).
+            assert exact * (1 - 1e-9) <= approx <= exact * 1.05 * (1 + 1e-9)

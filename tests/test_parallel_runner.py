@@ -1,4 +1,4 @@
-"""Parallel experiment runner: serial-vs-parallel identity + bench JSON.
+"""Parallel experiment runner: serial-vs-parallel identity.
 
 The process-pool runner's whole contract is that fanning work across
 workers changes wall-clock only, never content: same report bytes, same
@@ -10,16 +10,8 @@ too slow for tier-1).
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-
 import pytest
 
-import repro
-
-from repro.experiments.bench import _cluster_point
 from repro.experiments.common import (
     parallel_map,
     run_experiment,
@@ -35,6 +27,32 @@ _SUBSET: list[tuple[str, dict]] = [
     ("fig5", {"duration_ms": 3_000.0}),
     ("utilization", {"duration_ms": 3_000.0}),
 ]
+
+
+def _make_cluster(rate_rps: float, seed: int):
+    from repro.cluster.nexus import ClusterConfig, NexusCluster
+    from repro.workloads.apps import all_apps
+
+    config = ClusterConfig(device="gtx1080ti", expand_to_cluster=False,
+                           seed=seed)
+    cluster = NexusCluster(config)
+    queries = all_apps("gtx1080ti", num_games=4)
+    for query in queries:
+        cluster.add_query(query, rate_rps=rate_rps / len(queries))
+    return cluster
+
+
+def _cluster_point(args: tuple[float, float, int]) -> tuple[float, float]:
+    """One rate-sweep point: a full cluster run at the given offered rate.
+
+    Module-level (picklable) and seeded through its arguments, so sweep
+    points can fan across the process pool and still reproduce serial
+    results exactly.
+    """
+    rate_rps, duration_ms, seed = args
+    cluster = _make_cluster(rate_rps, seed)
+    result = cluster.run(duration_ms, warmup_ms=duration_ms / 10)
+    return (rate_rps, round(result.good_rate, 6))
 
 
 class TestSerialParallelIdentity:
@@ -65,40 +83,3 @@ class TestSerialParallelIdentity:
     def test_tracing_excludes_parallelism(self):
         with pytest.raises(ValueError, match="mutually exclusive"):
             generate_report(_SUBSET, trace_dir="/tmp/x", workers=2)
-
-
-class TestBenchJson:
-    def test_quick_bench_writes_well_formed_json(self, tmp_path):
-        out = tmp_path / "BENCH_simulator.json"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "bench", "--quick",
-             "--workers", "2", "--repeats", "1", "--out", str(out)],
-            capture_output=True, text=True, timeout=600, env=env,
-            cwd=tmp_path,
-        )
-        assert proc.returncode == 0, proc.stderr
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == "repro-bench/1"
-        assert payload["quick"] is True
-        assert payload["cpu_count"] >= 1
-        b = payload["benchmarks"]
-        assert b["simulator_event_loop"]["events_per_s"] > 0
-        assert b["simulate_dispatch"]["requests_per_s"] > 0
-        assert b["cluster_headline"]["good_rate"] > 0.5
-        sweep = b["parallel_cluster_sweep"]
-        # Requested workers are recorded verbatim; the effective count
-        # is clamped to the machine so speedup is never misattributed.
-        assert sweep["workers_requested"] == 2
-        assert sweep["workers"] == max(1, min(2, os.cpu_count() or 1))
-        assert b["epoch_schedule"]["epochs_per_s"] > 0
-        assert 0.0 <= b["epoch_schedule"]["reuse_fraction"] <= 1.0
-        if sweep["workers"] == 1:
-            # Single-core host: the parallel leg is skipped outright --
-            # a speedup figure there would only measure spawn overhead.
-            assert sweep["skipped"] is True
-            assert "speedup" not in sweep
-        else:
-            assert sweep["speedup"] > 0
-            assert sweep["identical_results"] is True

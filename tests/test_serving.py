@@ -121,6 +121,43 @@ class TestDriverEquivalence:
         assert counters_sim[1] > 0
 
 
+class _Captured(Exception):
+    """Raised by the RuntimeCore stand-in once it has seen its knobs."""
+
+
+class TestPoolConfigParity:
+    """The live runtime serves with the simulator driver's pool knobs."""
+
+    def test_fleet_config_reaches_the_live_pool(self, monkeypatch):
+        from dataclasses import replace
+
+        from repro.cluster import nexus
+        from repro.models.gpus import make_fleet
+
+        cfg = ClusterConfig(
+            max_gpus=8, fleet=make_fleet({"gtx1080ti": 4, "t4": 4}),
+            retry_max=5, retry_backoff_ms=2.0,
+        )
+        seen = {}
+
+        def capture(events, pool_config=None, retry_policy=None, **_):
+            seen["pool"], seen["retry"] = pool_config, retry_policy
+            raise _Captured
+
+        with monkeypatch.context() as patch:
+            patch.setattr(nexus, "RuntimeCore", capture)
+            with pytest.raises(_Captured):
+                nexus.NexusCluster(cfg).run(1_000.0)
+
+        live = ServingRuntime(Simulator(), cfg).core
+        assert live.pool.config.fleet is cfg.fleet
+        # The one knob the drivers choose differently: the simulator caps
+        # backends only under faults, the live pool always.
+        assert seen["pool"].max_backends is None
+        assert live.pool.config == replace(seen["pool"], max_backends=8)
+        assert live.frontends[0].retry_policy == seen["retry"]
+
+
 async def _post_json(host: str, port: int, path: str, payload: dict) -> dict:
     """POST helper (Connection: close; reads to EOF)."""
     reader, writer = await asyncio.open_connection(host, port)
