@@ -213,7 +213,7 @@ _GLOBAL_RANDOM_FNS = frozenset({
 _UNIT_SUFFIXES = frozenset({"ns", "us", "ms", "s", "rps"})
 
 # raw-time-literal: suffixes that mark a *time* quantity, the calls whose
-# numeric arguments are delays/instants, the conversion factors that must
+# first argument is a delay/instant, the conversion factors that must
 # be spelled MS_PER_S, and the magnitude floor below which a literal is
 # treated as a float-comparison epsilon.
 _TIME_SUFFIXES = frozenset({"ns", "us", "ms", "s"})
@@ -574,13 +574,14 @@ class _Linter(ast.NodeVisitor):
         name = _terminal_name(node.func)
         if name not in _SCHEDULING_CALLS:
             return
-        for arg in node.args:
-            if _bare_time_literal(arg):
-                self._report(
-                    arg, "raw-time-literal",
-                    f"bare numeric delay passed to {name}(); name the "
-                    f"duration (a *_ms constant) so its unit is explicit",
-                )
+        # Only the first argument is a delay or instant; later ones are a
+        # priority (``schedule_at(t, fn, -1)``) or callback arguments.
+        if node.args and _bare_time_literal(node.args[0]):
+            self._report(
+                node.args[0], "raw-time-literal",
+                f"bare numeric delay passed to {name}(); name the "
+                f"duration (a *_ms constant) so its unit is explicit",
+            )
 
     def _check_sim_in_planner(self, node: ast.Call) -> None:
         name = _terminal_name(node.func)

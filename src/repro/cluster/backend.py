@@ -24,12 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..core.drop import (
-    DropPolicy,
-    EarlyDropPolicy,
-    QueuedRequest,
-    consume_selected,
-)
+from ..core.drop import DropPolicy, EarlyDropPolicy, consume_selected
 from ..core.profile import BatchingProfile
 from ..metrics.collector import MetricsCollector
 from ..observability.events import (
@@ -85,16 +80,20 @@ class BackendSession:
 
 
 class _SessionState:
-    """Backend-internal queue + pacing state for one scheduled session."""
+    """Backend-internal queue + pacing state for one scheduled session.
 
-    __slots__ = ("spec", "queue", "deferred", "requests", "last_start_ms",
-                 "ready_ms")
+    The queues hold the :class:`Request` objects themselves: the drop
+    policies read only ``request_id`` / ``arrival_ms`` / ``deadline_ms``,
+    and every exit path (batch done, early drop, unscheduled drop, crash)
+    takes a request off its queue exactly once.
+    """
+
+    __slots__ = ("spec", "queue", "deferred", "last_start_ms", "ready_ms")
 
     def __init__(self, spec: BackendSession) -> None:
         self.spec = spec
-        self.queue: deque[QueuedRequest] = deque()
-        self.deferred: list[QueuedRequest] = []
-        self.requests: dict[int, Request] = {}
+        self.queue: deque[Request] = deque()
+        self.deferred: list[Request] = []
         self.last_start_ms = -math.inf
         #: absolute time the model finishes loading onto this GPU; no
         #: batch of this session may start earlier.
@@ -161,8 +160,10 @@ class Backend:
         self._cycle_pos = 0
         self._busy = False
         self._wake: TimerHandle | None = None
-        #: absolute time the armed wake fires (meaningful iff _wake set).
+        #: absolute time the armed wake fires (meaningful iff _wake set),
+        #: and the unrounded instant it was armed for.
         self._wake_at = math.inf
+        self._wake_due = math.inf
         #: False once :meth:`fail` fires; a dead backend executes nothing
         #: and fails every request handed to it until :meth:`recover`.
         self.alive = True
@@ -172,7 +173,7 @@ class Backend:
         #: the in-flight batch, if any: (exec handle, state, batch,
         #: completion time) -- cancelled wholesale on a crash.
         self._inflight: tuple[TimerHandle, _SessionState,
-                              list[QueuedRequest], float] | None = None
+                              list[Request], float] | None = None
         self.busy_ms = 0.0
         self.batches_executed = 0
         #: set True to record an ExecutionSpan per batch (Gantt tooling).
@@ -199,7 +200,6 @@ class Backend:
                 prev = old[spec.session_id]
                 state.queue = prev.queue
                 state.deferred = prev.deferred
-                state.requests = prev.requests
                 state.last_start_ms = prev.last_start_ms
                 # A model still streaming over PCIe stays not-ready across
                 # schedule updates; resetting to the default -inf would let
@@ -214,8 +214,8 @@ class Backend:
             self._order.append(spec.session_id)
         for sid, prev in old.items():
             if sid not in self._sessions:
-                for q in (*prev.queue, *prev.deferred):
-                    self._finish_drop(prev, q, DROP_UNSCHEDULED)
+                for request in (*prev.queue, *prev.deferred):
+                    self._record_drop(request, now, DROP_UNSCHEDULED)
         self._cycle_pos = 0
         self._kick()
 
@@ -241,20 +241,20 @@ class Backend:
             self._wake.cancel()
             self._wake = None
         if self._inflight is not None:
-            handle, state, batch, completion = self._inflight
+            handle, _, batch, completion = self._inflight
             handle.cancel()
             self._inflight = None
             self._busy = False
             # The batch never finished: give back the unspent busy time.
             self.busy_ms -= max(0.0, completion - now)
-            for q in batch:
-                self._fail_request(state, q, now)
+            for request in batch:
+                self._fail_request(request, now)
         for state in self._sessions.values():
             lost = [*state.queue, *state.deferred]
             state.queue = deque()
             state.deferred = []
-            for q in lost:
-                self._fail_request(state, q, now)
+            for request in lost:
+                self._fail_request(request, now)
 
     def recover(self) -> None:
         """Bring a failed backend back, empty, ready for a new schedule."""
@@ -272,11 +272,7 @@ class Backend:
         self.slowdown_factor = factor
         self.tracer.backend_slowdown(self.sim.now, self.gpu_id, factor)
 
-    def _fail_request(self, state: _SessionState, q: QueuedRequest,
-                      now: float) -> None:
-        request = state.requests.pop(q.request_id, None)
-        if request is None:
-            return
+    def _fail_request(self, request: Request, now: float) -> None:
         if request.on_fail is not None:
             request.on_fail(request, now)
         else:
@@ -301,17 +297,43 @@ class Backend:
             # Misrouted (e.g. schedule changed mid-flight): drop.
             self._record_drop(request, self.sim.now, DROP_MISROUTED)
             return
-        state.queue.append(
-            QueuedRequest(request.request_id, request.arrival_ms,
-                          request.deadline_ms)
-        )
-        state.requests[request.request_id] = request
+        queue = state.queue
+        queue.append(request)
+        now = self.sim.now
         if self.tracer.recording:  # one-predicate gate on the hot path
             self.tracer.request_admitted(
-                self.sim.now, request.session_id, request.request_id,
+                now, request.session_id, request.request_id,
                 request.deadline_ms, gpu_id=self.gpu_id,
             )
-        self._kick()
+        wake = self._wake
+        if (wake is None or self._busy or self.pacing != "cycle"
+                or self.defer_missed or now >= self._wake_at - 1e-6):
+            self._kick()
+            return
+        # Idle with a wake armed: nothing was runnable when it was armed
+        # and only this session's queue changed since, so this session
+        # alone decides whether to run now or to wake earlier -- no
+        # rescan of the others.  The runnable test is _pick_session's
+        # (due, full batch, deadline rescue); keep the two in step.
+        spec = state.spec
+        if now >= state.ready_ms and (
+            now - state.last_start_ms >= spec.duty_cycle_ms - 1e-9
+            or len(queue) >= spec.target_batch
+            or self._at_risk(state, queue[0], now)
+        ):
+            self._kick()
+            return
+        due = self._session_wake(state)
+        # Re-arm on a tie too: the fresh timer's insertion order is the
+        # one a full rescan would have produced.  A later session wake
+        # keeps the armed instant, but a rescan would re-round it from
+        # this ``now``; re-arm when that rounding moves it.
+        if due > self._wake_due:
+            due = self._wake_due
+            if now + max(0.0, due - now) == self._wake_at:
+                return
+        wake.cancel()
+        self._schedule_wake(due, now)
 
     # ------------------------------------------------------------ execution
 
@@ -322,6 +344,12 @@ class Backend:
             self._wake.cancel()
             self._wake = None
         self._try_dispatch()
+
+    def _on_wake(self) -> None:
+        # The firing timer has left the event queue: forget it rather
+        # than cancel it.
+        self._wake = None
+        self._kick()
 
     def _try_dispatch(self) -> None:
         if not self._order:
@@ -342,11 +370,11 @@ class Backend:
             state.queue, now, state.spec.profile
         )
         state.queue = consume_selected(state.queue, batch, dropped)
-        for q in dropped:
+        for request in dropped:
             if self.defer_missed:
-                state.deferred.append(q)
+                state.deferred.append(request)
             else:
-                self._finish_drop(state, q, DROP_EARLY)
+                self._record_drop(request, now, DROP_EARLY)
         if not batch:
             # Policy had nothing servable; try the next session right away.
             self._advance_cycle(candidate)
@@ -465,7 +493,7 @@ class Backend:
         self._inflight = (handle, state, batch, completion)
 
     def _at_risk(
-        self, state: _SessionState, head: QueuedRequest, now: float
+        self, state: _SessionState, head: Request, now: float
     ) -> bool:
         """Would waiting for the next duty slot make ``head`` miss?"""
         spec = state.spec
@@ -488,31 +516,40 @@ class Backend:
         """Nothing runnable now: wake at the next dueness or rescue point."""
         next_wake = math.inf
         for state in self._sessions.values():
-            queue = state.queue
-            if not queue:
-                continue
-            spec = state.spec
-            due_time = state.last_start_ms + spec.duty_cycle_ms
-            # Queue is non-empty and target_batch >= 1, so batch >= 1.
-            batch = len(queue)
-            if batch > spec.target_batch:
-                batch = spec.target_batch
-            rescue_time = queue[0].deadline_ms - spec.profile.latency(batch)
-            wake = due_time if due_time < rescue_time else rescue_time
-            if wake < state.ready_ms:
-                wake = state.ready_ms
-            if wake < next_wake:
-                next_wake = wake
+            if state.queue:
+                wake = self._session_wake(state)
+                if wake < next_wake:
+                    next_wake = wake
         if self.defer_missed and not math.isfinite(next_wake):
             if any(s.deferred for s in self._sessions.values()):
                 next_wake = now
         if math.isfinite(next_wake):
-            delay = max(0.0, next_wake - now)
-            self._wake = self.sim.schedule(delay, self._kick)
-            self._wake_at = now + delay
+            self._schedule_wake(next_wake, now)
+
+    @staticmethod
+    def _session_wake(state: _SessionState) -> float:
+        """When a non-empty, not-runnable session next needs the GPU."""
+        spec = state.spec
+        queue = state.queue
+        due_time = state.last_start_ms + spec.duty_cycle_ms
+        # Queue is non-empty and target_batch >= 1, so batch >= 1.
+        batch = len(queue)
+        if batch > spec.target_batch:
+            batch = spec.target_batch
+        rescue_time = queue[0].deadline_ms - spec.profile.latency(batch)
+        wake = due_time if due_time < rescue_time else rescue_time
+        if wake < state.ready_ms:
+            wake = state.ready_ms
+        return wake
+
+    def _schedule_wake(self, due_ms: float, now: float) -> None:
+        delay = max(0.0, due_ms - now)
+        self._wake = self.sim.schedule(delay, self._on_wake)
+        self._wake_at = now + delay
+        self._wake_due = due_ms
 
     def _on_batch_done(
-        self, state: _SessionState, batch: list[QueuedRequest], completion: float
+        self, state: _SessionState, batch: list[Request], completion: float
     ) -> None:
         # SLO verdicts and completion timestamps use the *actual* fire
         # time, not the ``completion`` the batch was scheduled for: under
@@ -526,27 +563,17 @@ class Backend:
         emit = tracer.enabled  # hoisted one-predicate gate
         session_id = state.spec.session_id
         gpu_id = self.gpu_id
-        requests = state.requests
-        for q in batch:
-            request = requests.pop(q.request_id, None)
-            if request is None:
-                continue
-            ok = now <= q.deadline_ms
+        for request in batch:
+            ok = now <= request.deadline_ms
             if emit:
                 tracer.request_completed(
-                    now, session_id, q.request_id,
-                    q.arrival_ms, q.deadline_ms, ok, gpu_id=gpu_id,
+                    now, session_id, request.request_id,
+                    request.arrival_ms, request.deadline_ms, ok,
+                    gpu_id=gpu_id,
                 )
             if request.on_complete is not None:
                 request.on_complete(request, now, ok)
         self._kick()
-
-    def _finish_drop(self, state: _SessionState, q: QueuedRequest,
-                     reason: str = DROP_EARLY) -> None:
-        request = state.requests.pop(q.request_id, None)
-        if request is None:
-            return
-        self._record_drop(request, self.sim.now, reason)
 
     def _record_drop(self, request: Request, now: float,
                      reason: str = DROP_EARLY) -> None:

@@ -22,6 +22,8 @@ The paper's baselines are configurations of the same machinery: see
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -675,18 +677,42 @@ class NexusCluster:
     def _generate_traffic(
         self, sim: Simulator, frontends: list[Frontend], duration_ms: float,
     ) -> None:
+        """Feed every app's arrivals through one self-re-arming event.
+
+        The apps' arrival lists merge lazily by ``(time, app index,
+        arrival index)``, so the heap holds one pending arrival instead
+        of all of them.  Priority -1 fires an arrival before runtime
+        events at the same instant, and same-instant arrivals fire in
+        app order -- the order pre-scheduling every arrival produced.
+        """
         cfg = self.config
-        for i, app in enumerate(self.apps):
-            arrivals = self._app_arrivals(app, duration_ms, cfg.seed + i * 7919)
-            budgets = self._splits.get(app.query.name)
-            # The cluster load balancer spreads queries round-robin over
-            # the frontend replicas (section 5).
-            for j, t in enumerate(arrivals):
-                fe = frontends[j % len(frontends)]
-                sim.schedule_at(
-                    t,
-                    lambda q=app.query, b=budgets, f=fe: f.submit_query(q, b),
-                )
+        stream = heapq.merge(*[
+            zip(
+                self._app_arrivals(app, duration_ms, cfg.seed + i * 7919),
+                itertools.repeat(i), itertools.count(),
+            )
+            for i, app in enumerate(self.apps)
+        ])
+        targets = [
+            (app.query, self._splits.get(app.query.name)) for app in self.apps
+        ]
+        n_frontends = len(frontends)
+        head = next(stream, None)
+
+        def arrive() -> None:
+            nonlocal head
+            assert head is not None
+            _, i, j = head
+            head = next(stream, None)
+            if head is not None:
+                sim.schedule_at(head[0], arrive, -1)
+            query, budgets = targets[i]
+            # The cluster load balancer spreads each app's queries
+            # round-robin over the frontend replicas (section 5).
+            frontends[j % n_frontends].submit_query(query, budgets)
+
+        if head is not None:
+            sim.schedule_at(head[0], arrive, -1)
 
     def _app_arrivals(
         self, app: AppSpec, duration_ms: float, seed: int

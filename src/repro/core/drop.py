@@ -25,11 +25,12 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Protocol, TypeVar
 
 from .profile import BatchingProfile
 
 __all__ = [
+    "Queued",
     "QueuedRequest",
     "DispatchStats",
     "DropPolicy",
@@ -41,10 +42,28 @@ __all__ = [
 ]
 
 
+class Queued(Protocol):
+    """What a drop policy reads of a queued request."""
+
+    @property
+    def request_id(self) -> int: ...
+
+    @property
+    def arrival_ms(self) -> float: ...
+
+    @property
+    def deadline_ms(self) -> float: ...
+
+
+#: the queued item type a policy hands back: the backend queues its
+#: :class:`~repro.cluster.messages.Request` objects directly, the
+#: dispatch oracle below uses :class:`QueuedRequest`.
+Q = TypeVar("Q", bound=Queued)
+
+
 @dataclass(slots=True)
 class QueuedRequest:
-    """A request waiting in a backend queue (slotted: allocated per
-    request on the dispatch hot path)."""
+    """A request waiting in :func:`simulate_dispatch`'s queue."""
 
     request_id: int
     arrival_ms: float
@@ -102,10 +121,10 @@ class DropPolicy:
 
     def select(
         self,
-        queue: Sequence[QueuedRequest],
+        queue: Sequence[Q],
         now_ms: float,
         profile: BatchingProfile,
-    ) -> tuple[list[QueuedRequest], list[QueuedRequest]]:
+    ) -> tuple[list[Q], list[Q]]:
         """Return ``(batch, dropped)``; both disjoint sublists of ``queue``.
 
         An empty batch with an empty drop list means "wait for more work";
@@ -117,10 +136,11 @@ class DropPolicy:
 
     @staticmethod
     def _expire(
-        queue: Sequence[QueuedRequest], now_ms: float, min_service_ms: float
-    ) -> tuple[list[QueuedRequest], list[QueuedRequest]]:
+        queue: Sequence[Q], now_ms: float, min_service_ms: float
+    ) -> tuple[list[Q], list[Q]]:
         """Split queue into (alive, already-hopeless) at time ``now``."""
-        alive, dead = [], []
+        alive: list[Q] = []
+        dead: list[Q] = []
         for req in queue:
             if now_ms + min_service_ms > req.deadline_ms:
                 dead.append(req)
@@ -143,10 +163,10 @@ class LazyDropPolicy(DropPolicy):
 
     def select(
         self,
-        queue: Sequence[QueuedRequest],
+        queue: Sequence[Q],
         now_ms: float,
         profile: BatchingProfile,
-    ) -> tuple[list[QueuedRequest], list[QueuedRequest]]:
+    ) -> tuple[list[Q], list[Q]]:
         min_service = profile.latency(1)
         alive, dead = self._expire(queue, now_ms, min_service)
         if not alive:
@@ -178,10 +198,10 @@ class EarlyDropPolicy(DropPolicy):
 
     def select(
         self,
-        queue: Sequence[QueuedRequest],
+        queue: Sequence[Q],
         now_ms: float,
         profile: BatchingProfile,
-    ) -> tuple[list[QueuedRequest], list[QueuedRequest]]:
+    ) -> tuple[list[Q], list[Q]]:
         min_service = profile.latency(1)
         alive, dead = self._expire(queue, now_ms, min_service)
         if not alive:
@@ -200,10 +220,10 @@ class EarlyDropPolicy(DropPolicy):
 
 
 def consume_selected(
-    queue: deque[QueuedRequest],
-    batch: list[QueuedRequest],
-    dropped: list[QueuedRequest],
-) -> deque[QueuedRequest]:
+    queue: deque[Q],
+    batch: list[Q],
+    dropped: list[Q],
+) -> deque[Q]:
     """Remove a ``select()``'s batch and drops from ``queue`` in place.
 
     Both drop policies consume a *prefix* of the queue whenever deadlines

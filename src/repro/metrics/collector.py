@@ -14,6 +14,12 @@ from dataclasses import dataclass, field
 
 __all__ = ["RequestRecord", "MetricsCollector", "TimeSeries"]
 
+#: summary-mode latency histogram: 0.1 ms .. ~100 s in 5% steps.
+_HIST_BASE_MS = 0.1
+_HIST_GROWTH = 1.05
+_LOG_HIST_GROWTH = math.log(_HIST_GROWTH)
+_HIST_BUCKETS = 284
+
 
 @dataclass(slots=True)
 class RequestRecord:
@@ -66,11 +72,6 @@ class MetricsCollector:
     arrivals at record time (summary mode cannot filter after the fact).
     """
 
-    #: log-spaced latency histogram: 0.1 ms .. ~100 s in 5% steps.
-    _HIST_BASE_MS = 0.1
-    _HIST_GROWTH = 1.05
-    _HIST_BUCKETS = 284
-
     def __init__(
         self, keep_records: bool = True, min_arrival_ms: float = 0.0
     ) -> None:
@@ -97,40 +98,44 @@ class MetricsCollector:
         if self.keep_records:
             self.records.append(rec)
             return
+        # The summary fold runs once per request of a megascale shard:
+        # ``ok`` and ``latency_ms`` are inlined, and the per-session
+        # dict is built only on a session's first record.
+        arrival = rec.arrival_ms
+        completion = rec.completion_ms
         self._total += 1
-        self._first_arrival_ms = min(self._first_arrival_ms, rec.arrival_ms)
-        self._last_completion_ms = max(
-            self._last_completion_ms, rec.completion_ms or rec.arrival_ms
-        )
-        stats = self._session_stats.setdefault(
-            rec.session_id, {"total": 0, "ok": 0, "dropped": 0, "late": 0}
-        )
+        if arrival < self._first_arrival_ms:
+            self._first_arrival_ms = arrival
+        last = completion or arrival
+        if last > self._last_completion_ms:
+            self._last_completion_ms = last
+        stats = self._session_stats.get(rec.session_id)
+        if stats is None:
+            stats = {"total": 0, "ok": 0, "dropped": 0, "late": 0}
+            self._session_stats[rec.session_id] = stats
         stats["total"] += 1
-        if rec.ok:
-            self._ok += 1
-            stats["ok"] += 1
-        elif rec.dropped:
+        if rec.dropped:
             self._dropped += 1
             stats["dropped"] += 1
+        elif completion is not None and completion <= rec.deadline_ms:
+            self._ok += 1
+            stats["ok"] += 1
         else:
             self._late += 1
             stats["late"] += 1
-        lat = rec.latency_ms
-        if lat is not None:
-            if not self._latency_hist:
-                self._latency_hist = [0] * (self._HIST_BUCKETS + 1)
-            if lat <= self._HIST_BASE_MS:
+        if completion is not None:
+            lat = completion - arrival
+            hist = self._latency_hist
+            if not hist:
+                hist = self._latency_hist = [0] * (_HIST_BUCKETS + 1)
+            if lat <= _HIST_BASE_MS:
                 bucket = 0
             else:
                 bucket = min(
-                    self._HIST_BUCKETS,
-                    int(
-                        math.log(lat / self._HIST_BASE_MS)
-                        / math.log(self._HIST_GROWTH)
-                    )
-                    + 1,
+                    _HIST_BUCKETS,
+                    int(math.log(lat / _HIST_BASE_MS) / _LOG_HIST_GROWTH) + 1,
                 )
-            self._latency_hist[bucket] += 1
+            hist[bucket] += 1
 
     def record_gpu_busy(self, gpu_id: int, busy_ms: float) -> None:
         self.gpu_busy_ms[gpu_id] = self.gpu_busy_ms.get(gpu_id, 0.0) + busy_ms
@@ -209,8 +214,8 @@ class MetricsCollector:
             for bucket, count in enumerate(self._latency_hist):
                 seen += count
                 if seen >= rank:
-                    return self._HIST_BASE_MS * self._HIST_GROWTH ** bucket
-            return self._HIST_BASE_MS * self._HIST_GROWTH ** self._HIST_BUCKETS
+                    return _HIST_BASE_MS * _HIST_GROWTH ** bucket
+            return _HIST_BASE_MS * _HIST_GROWTH ** _HIST_BUCKETS
         lats = sorted(
             r.latency_ms for r in self.records if r.latency_ms is not None
         )

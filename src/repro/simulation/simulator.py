@@ -32,11 +32,14 @@ class _Event:
     reaches the event (``seq`` is unique), so tie-breaking is plain tuple
     comparison instead of a generated dataclass ``__lt__`` with attribute
     loads -- the event loop is the hottest path in every experiment.
+    ``fn`` is set to None once the event fires, which both frees the
+    closure and tells a late :meth:`EventHandle.cancel` that the entry
+    has already left the heap.
     """
 
     __slots__ = ("time_ms", "fn", "cancelled")
 
-    def __init__(self, time_ms: float, fn: Callable[[], None]) -> None:
+    def __init__(self, time_ms: float, fn: Callable[[], None] | None) -> None:
         self.time_ms = time_ms
         self.fn = fn
         self.cancelled = False
@@ -56,7 +59,10 @@ class EventHandle:
         if not event.cancelled:
             event.cancelled = True
             sim = self._sim
-            if sim is not None:
+            # A fired event (``fn`` released) is no longer in the heap:
+            # counting it would inflate the dead-entry tally behind
+            # compaction.
+            if sim is not None and event.fn is not None:
                 sim._note_cancelled()
 
     @property
@@ -159,7 +165,9 @@ class Simulator:
                 continue
             self._now = time_ms
             processed += 1
-            event.fn()
+            fn = event.fn
+            event.fn = None
+            fn()
         self._events_processed += processed
         self._cancelled_pending -= skipped
         self._now = max(self._now, end_ms)
@@ -179,7 +187,9 @@ class Simulator:
                 continue
             self._now = time_ms
             processed += 1
-            event.fn()
+            fn = event.fn
+            event.fn = None
+            fn()
         self._events_processed += processed
         self._cancelled_pending -= skipped
         self._trace_window(start_ms, start_count)

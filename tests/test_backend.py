@@ -1,6 +1,10 @@
 """Tests for the backend node (cluster/backend.py): GPU scheduler behavior."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.backend import Backend, BackendSession
 from repro.cluster.messages import Request
@@ -375,3 +379,94 @@ class TestModelLoading:
         sim.run()
         assert len(coll.records) == 1
         assert coll.records[0].completion_ms >= 200.0
+
+
+class _RescanOnEveryEnqueue(Backend):
+    """The reference path: every admitted request runs the full rescan."""
+
+    def enqueue(self, request):
+        state = self._sessions.get(request.session_id)
+        if not self.alive or state is None:
+            super().enqueue(request)
+            return
+        state.queue.append(request)
+        self._kick()
+
+
+_session_specs = st.tuples(
+    st.floats(0.2, 3.0), st.floats(1.0, 30.0), st.floats(20.0, 300.0),
+    st.integers(1, 16),
+    st.one_of(st.integers(5, 200).map(float), st.floats(5.0, 200.0)),
+    st.one_of(st.just(0.0), st.floats(1.0, 500.0)),
+)
+
+
+@st.composite
+def _arrival_streams(draw):
+    """Seeded random arrivals: ``(time_ms, session index)`` pairs, on an
+    integer grid half the time so arrivals tie with dueness instants."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    horizon_ms = draw(st.floats(50.0, 3000.0))
+    integral = draw(st.booleans())
+    out = []
+    for _ in range(draw(st.integers(1, 150))):
+        t = rng.uniform(0.0, horizon_ms)
+        out.append((float(round(t)) if integral else t, rng.randrange(6)))
+    return out
+
+
+class TestIdleEnqueueFastPath:
+    """Enqueue on an idle backend with an armed wake checks only the
+    enqueued session; the outcome must equal a full rescan's."""
+
+    @staticmethod
+    def _replay(cls, sessions, arrivals):
+        sim = Simulator()
+        backend = cls(sim)
+        backend.trace_enabled = True
+        specs = []
+        for i, (alpha, beta, slo, batch, duty, load) in enumerate(sessions):
+            s = spec(f"s{i}", alpha=alpha, beta=beta, slo=slo, batch=batch,
+                     duty=duty)
+            s.load_ms = load
+            specs.append(s)
+        backend.set_schedule(specs)
+        outcomes = []
+
+        def done(req, t, ok):
+            outcomes.append(("done", req.request_id, t, ok))
+
+        def dropped(req, t):
+            outcomes.append(("drop", req.request_id, t))
+
+        for rid, (at_ms, which) in enumerate(arrivals):
+            slo = sessions[which % len(sessions)][2]
+            request = Request(f"s{which % len(sessions)}", at_ms, at_ms + slo,
+                              request_id=rid, on_complete=done,
+                              on_drop=dropped)
+            sim.schedule_at(at_ms, lambda r=request: backend.enqueue(r))
+        sim.run()
+        trace = [(x.session_id, x.start_ms, x.end_ms, x.batch)
+                 for x in backend.trace]
+        return trace, outcomes, sim.events_processed
+
+    @given(st.lists(_session_specs, min_size=1, max_size=6),
+           _arrival_streams())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_full_rescan(self, sessions, arrivals):
+        fast = self._replay(Backend, sessions, arrivals)
+        reference = self._replay(_RescanOnEveryEnqueue, sessions, arrivals)
+        assert fast == reference
+        assert len(fast[1]) == len(arrivals)
+
+    def test_kept_wake_fires_at_the_rescan_instant(self):
+        # s0 finishes loading at 63.386536; the wake armed at 24.949
+        # rounds to 63.38653599999999, the rescan at 31.497 (for s1,
+        # which loads later) to 63.386536.  Keeping the first timer would
+        # fire an extra wake one ulp before s0 is ready.
+        sessions = [(1.0, 5.0, 500.0, 8, 50.0, 63.386536),
+                    (1.0, 5.0, 500.0, 8, 50.0, 100.0)]
+        arrivals = [(24.949, 0), (31.497, 1)]
+        fast = self._replay(Backend, sessions, arrivals)
+        assert fast == self._replay(_RescanOnEveryEnqueue, sessions, arrivals)
+        assert fast[0][0][1] == 63.386536

@@ -1,5 +1,7 @@
 """Integration tests: the full NexusCluster pipeline end to end."""
 
+import functools
+
 import pytest
 
 from repro.baselines import clipper_config, tf_serving_config
@@ -10,8 +12,17 @@ from repro.cluster.nexus import (
     NexusCluster,
     equivalence_report,
 )
-from repro.workloads.apps import bb_query, dance_query, game_queries, traffic_query
-from repro.workloads.arrivals import zipf_rates
+from repro.cluster import nexus
+from repro.cluster.frontend import Frontend
+from repro.simulation.simulator import Simulator
+from repro.workloads.apps import (
+    all_apps,
+    bb_query,
+    dance_query,
+    game_queries,
+    traffic_query,
+)
+from repro.workloads.arrivals import uniform_arrivals, zipf_rates
 
 
 def simple_cluster(rate=100.0, **config_kw) -> NexusCluster:
@@ -212,6 +223,56 @@ class TestServing:
         assert set(traced) == {g for g, ms in recorded.items() if ms > 0}
         for gpu, ms in traced.items():
             assert ms == pytest.approx(recorded[gpu], rel=0.01)
+
+
+class TestArrivalStream:
+    """Every app's arrivals flow through one self-re-arming event."""
+
+    def test_heap_depth_tracks_backends_not_arrivals(self, monkeypatch):
+        peak = [0]
+        schedule_at = Simulator.schedule_at
+
+        def tracked(self, time_ms, fn, priority=0):
+            handle = schedule_at(self, time_ms, fn, priority)
+            peak[0] = max(peak[0], len(self._heap))
+            return handle
+
+        monkeypatch.setattr(Simulator, "schedule_at", tracked)
+        queries = all_apps("gtx1080ti", num_games=4)
+        cluster = NexusCluster(ClusterConfig(expand_to_cluster=False))
+        for query in queries:
+            cluster.add_query(query, 800.0 / len(queries), "poisson")
+        res = cluster.run(8_000.0)
+        # Pre-scheduling every arrival held ~6.3k entries here.
+        assert res.query_metrics.total > 5_000
+        assert peak[0] < 4 * res.gpus_used + len(queries)
+
+    @pytest.mark.parametrize("first", [traffic_query, dance_query])
+    def test_same_instant_arrivals_fire_in_app_order(self, monkeypatch, first):
+        # Unjittered uniform streams at one rate give both apps exactly
+        # the same arrival instants.
+        monkeypatch.setattr(
+            nexus, "uniform_arrivals",
+            functools.partial(uniform_arrivals, jitter=0.0),
+        )
+        submitted = []
+        submit_query = Frontend.submit_query
+
+        def logged(self, query, *args, **kwargs):
+            submitted.append((self.sim.now, query.name))
+            return submit_query(self, query, *args, **kwargs)
+
+        monkeypatch.setattr(Frontend, "submit_query", logged)
+        second = dance_query if first is traffic_query else traffic_query
+        cluster = NexusCluster(ClusterConfig(device="gtx1080ti", max_gpus=8))
+        cluster.add_query(first("gtx1080ti"), rate_rps=40.0)
+        cluster.add_query(second("gtx1080ti"), rate_rps=40.0)
+        cluster.run(2_000.0)
+        names = [app.query.name for app in cluster.apps]
+        assert len(submitted) == 2 * 80
+        for k in range(0, len(submitted), 2):
+            (t0, a), (t1, b) = submitted[k], submitted[k + 1]
+            assert t0 == t1 and [a, b] == names
 
 
 class TestBaselineIntegration:

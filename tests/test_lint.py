@@ -419,6 +419,24 @@ class TestRawTimeLiteral:
         """, rel_path=SERVING)
         assert rules_of(found) == {"raw-time-literal"}
 
+    def test_scheduling_priority_and_callback_args_clean(self):
+        # Only the delay/instant is a time: a priority or a callback's
+        # positional arguments are not.
+        assert findings("""
+            def f(sim, loop, start_ms, delay_ms, cb):
+                sim.schedule_at(start_ms, cb, -1)
+                sim.schedule(delay_ms, cb, 2)
+                loop.call_later(delay_ms, cb, 3)
+        """, rel_path=CLUSTER) == []
+
+    def test_scheduling_literal_flagged_only_in_delay_slot(self):
+        found = findings("""
+            def f(sim, cb):
+                sim.schedule_at(250, cb, -1)
+        """, rel_path=CLUSTER)
+        assert rules_of(found) == {"raw-time-literal"}
+        assert len(found) == 1
+
     def test_asyncio_sleep_literal_flagged(self):
         found = findings("""
             import asyncio

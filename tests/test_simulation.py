@@ -74,6 +74,19 @@ class TestSimulator:
         assert fired == []
         assert h.cancelled
 
+    def test_cancel_after_fire_is_not_pending(self):
+        # A handle cancelled from inside (or after) its own callback no
+        # longer has a heap entry; counting it would trigger spurious
+        # compactions.
+        sim = Simulator()
+        handles = []
+        handles.append(sim.schedule(10.0, lambda: handles[0].cancel()))
+        late = sim.schedule(20.0, lambda: None)
+        sim.run()
+        late.cancel()
+        assert sim._cancelled_pending == 0
+        assert sim._heap == []
+
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
