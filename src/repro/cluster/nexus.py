@@ -399,7 +399,7 @@ class NexusCluster:
     def _fuse_prefixes(self, loads: list[SessionLoad]) -> list[SessionLoad]:
         """Fuse sessions whose models share a prefix and latency SLO.
 
-        Grouping key: (base model name, SLO rounded to the ms).  Only
+        Grouping key: (base model name, SLO rounded to 0.1 ms).  Only
         zoo-resolvable specialized models ("base@variant") participate;
         everything else passes through unchanged.
         """
@@ -449,9 +449,13 @@ class NexusCluster:
             )
             fused_id = f"pb:{base}@{slo:g}ms#{len(members)}"
             combined = group.combined_profile(weights, name=fused_id)
+            # The key rounds the SLO; the fused session must not plan
+            # against a looser one than any member's.
+            fused_slo = min(slo, min(m.slo_ms for m in members))
             fused.append(
                 SessionLoad(
-                    Session(model_id=fused_id, slo_ms=slo, session_id=fused_id),
+                    Session(model_id=fused_id, slo_ms=fused_slo,
+                            session_id=fused_id),
                     total_rate,
                     combined,
                 )

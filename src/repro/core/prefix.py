@@ -22,11 +22,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..models.graph import ModelGraph
 from .profile import BatchingProfile, LinearProfile
 
 __all__ = ["PrefixGroup", "PrefixBatchedProfile", "find_prefix_groups",
            "group_memory_bytes", "unbatched_memory_bytes"]
+
+#: Batches per block of :meth:`PrefixBatchedProfile.latency_curve`: a
+#: block holds a few ``batches x suffixes`` float64 arrays, so small
+#: blocks keep a 200-suffix curve's working set small.
+_CURVE_BLOCK = 32
 
 
 def find_prefix_groups(
@@ -186,30 +193,50 @@ class PrefixBatchedProfile(BatchingProfile):
         return total
 
     def latency_curve(self) -> tuple[float, ...]:
-        """The whole curve in one pass, ``==`` to ``latency(b)`` per batch.
+        """The whole curve, ``==`` to ``latency(b)`` per batch.
 
         The weights follow the offered rates, so a fused curve is rebuilt
-        every plan and cannot be interned; what *is* constant -- the
-        weight total and the prefix and suffix latencies, read from their
-        own tables -- is hoisted out of the per-batch loop.
+        every plan and cannot be interned.  It is computed in blocks of
+        :data:`_CURVE_BLOCK` batches, as float64 arrays: the apportionment
+        of every batch in a block at once (floors, then a stable sort of
+        the remainders hands out the leftover inputs), one gather from
+        the suffix tables, and a left-to-right running sum from the
+        prefix latency -- the same float operations, in the same order,
+        as :meth:`latency`.
         """
         total_w = self._total_weight()
         max_batch = self.max_batch
-        prefix_ms = self.prefix.tables().latency_ms
-        # A sub-batch above a suffix's own ceiling runs at that ceiling:
-        # pad short tables with their last entry, so the loop indexes
-        # where ``latency`` clamps.
-        suffix_ms = [
-            lat + lat[-1:] * (max_batch - len(lat))
-            for lat in (s.tables().latency_ms for s in self.suffixes)
-        ]
-        curve = []
-        for batch in range(1, max_batch + 1):
-            total = prefix_ms[batch - 1]
-            for sub, lat in zip(self._apportion(batch, total_w), suffix_ms):
-                if sub:
-                    total += lat[sub - 1]
-            curve.append(total)
+        k = len(self.suffixes)
+        weights = np.array(self.weights, dtype=np.float64)
+        prefix_ms = np.array(self.prefix.tables().latency_ms)
+        # suffix_ms[i, sub] is suffix i's latency at sub-batch ``sub``; a
+        # sub-batch above a suffix's own ceiling runs at that ceiling, and
+        # column 0 (the suffix gets no input) adds nothing.
+        suffix_ms = np.zeros((k, max_batch + 1))
+        for i, suffix in enumerate(self.suffixes):
+            lat = suffix.tables().latency_ms[:max_batch]
+            suffix_ms[i, 1:len(lat) + 1] = lat
+            suffix_ms[i, len(lat) + 1:] = lat[-1]
+        rows = np.arange(k)
+        curve: list[float] = []
+        for first in range(1, max_batch + 1, _CURVE_BLOCK):
+            batch = np.arange(
+                first, min(first + _CURVE_BLOCK, max_batch + 1),
+                dtype=np.float64,
+            )
+            shares = weights * batch[:, None] / total_w
+            subs = np.floor(shares)
+            leftover = batch - subs.sum(axis=1)
+            # rank[r, i]: suffix i's place among batch r's remainders,
+            # ascending, equal remainders in suffix order.
+            order = np.argsort(subs - shares, axis=1, kind="stable")
+            rank = np.empty_like(order)
+            np.put_along_axis(rank, order, rows[None, :], axis=1)
+            subs += rank < leftover[:, None]
+            terms = np.empty((len(batch), k + 1))
+            terms[:, 0] = prefix_ms[first - 1:first - 1 + len(batch)]
+            terms[:, 1:] = suffix_ms[rows, subs.astype(np.intp)]
+            curve.extend(np.add.accumulate(terms, axis=1)[:, -1].tolist())
         return tuple(curve)
 
 

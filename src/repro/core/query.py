@@ -14,15 +14,21 @@ The optimization (section 6.2):
 
 solved by dynamic programming over the (tree-shaped) dataflow graph with
 the time budget discretized into ``L / epsilon`` segments.
+
+Every stage cost is linear in the root rate ``R``, so the DP's argmin and
+its bounded-regret band do not depend on ``R``: :func:`plan_query` solves
+once at unit rate, memoises the split by value, and scales the cost.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from .profile import BatchingProfile
+from .profile_tables import remember
 from .session import Session, SessionLoad
 
 __all__ = ["QueryStage", "Query", "LatencySplit", "MixedSplit", "plan_query",
@@ -164,56 +170,39 @@ def _stage_cost_table(
     return costs, batches
 
 
-def plan_query(
-    query: Query,
-    rate_rps: float,
-    epsilon_ms: float = 5.0,
-    worst_case_factor: float = 1.0,
-    min_stage_frac: float = 0.2,
-    slack_tolerance: float = 0.05,
-) -> LatencySplit:
-    """Find the latency split minimizing total GPUs (section 6.2 DP).
-
-    Args:
-        query: the dataflow query with profiles and gammas attached.
-        rate_rps: offered rate at the query root.
-        epsilon_ms: budget discretization; the DP is quadratic in
-            ``slo / epsilon``.
-        worst_case_factor: see :func:`_stage_cost_table`.
-        min_stage_frac: floor on each model stage's budget, as a fraction
-            of the whole-query SLO.  The pure DP objective happily starves
-            cheap stages down to near-zero budgets (their GPU cost barely
-            changes) -- but a near-zero latency budget is unservable at
-            runtime, where queueing jitter is not free.  Clamped so deep
-            chains stay feasible.
-        slack_tolerance: bounded regret for the per-stage budget choice:
-            each stage takes the smallest budget within this fraction of
-            the optimal subtree cost, leaving slack to its descendants
-            (worst case the plan costs ``(1+tol)^depth`` of optimal).
-
-    Returns:
-        The optimal :class:`LatencySplit`.
-
-    Raises:
-        ValueError: if no split can satisfy the SLO at all.
-    """
-    if rate_rps < 0:
-        raise ValueError(f"rate_rps must be >= 0, got {rate_rps}")
+def _budget_grid(
+    query: Query, epsilon_ms: float, min_stage_frac: float
+) -> tuple[list[float], int]:
+    """The DP's candidate budgets ``0 .. slo`` in ``epsilon`` steps, and
+    the index of the per-model-stage budget floor."""
     steps = max(1, int(round(query.slo_ms / epsilon_ms)))
     budgets = [i * query.slo_ms / steps for i in range(steps + 1)]
     floor_frac = min(min_stage_frac, 0.8 / max(1, query.depth()))
-    floor_idx = int(floor_frac * steps)
+    return budgets, int(floor_frac * steps)
 
-    # Bottom-up DP: for each stage, f[t] = min GPUs to run the stage and
-    # its whole subtree within budget index t.  ``tables`` captures each
-    # stage's (chosen-k, batch) tables for top-down reconstruction.
-    tables: dict[int, tuple[list[int], list[int]]] = {}
+
+def _solve_tree(
+    root: QueryStage,
+    steps: int,
+    floor_idx: int,
+    slack_tolerance: float,
+    stage_costs: Callable[[QueryStage, float], list[float]],
+) -> tuple[float, list[tuple[QueryStage, int, float]]]:
+    """Section 6.2's DP over a stage tree, for any per-stage cost table.
+
+    ``stage_costs(stage, mult)`` is the stage's own cost at every budget
+    index (``math.inf`` where no batch fits); ``mult`` is the product of
+    gammas from the root down to the stage.  Returns the optimal cost of
+    the whole tree within the full budget and, when that is finite, each
+    stage's chosen budget index, preorder, as ``(stage, index, mult)``.
+    """
+    # Bottom-up DP: for each stage, f[t] = min cost to run the stage and
+    # its whole subtree within budget index t.  ``choices`` keeps each
+    # stage's chosen own-budget index per t for top-down reconstruction.
+    choices: dict[int, list[int]] = {}
 
     def solve(stage: QueryStage, mult: float) -> list[float]:
-        stage_rate = rate_rps * mult
-        costs, batch_tab = _stage_cost_table(
-            stage.profile, stage_rate, budgets, worst_case_factor
-        )
+        costs = stage_costs(stage, mult)
         child_fs = [solve(child, mult * child.gamma) for child in stage.children]
         k_min = 0 if stage.is_source else floor_idx
         f = [math.inf] * (steps + 1)
@@ -249,37 +238,142 @@ def plan_query(
                 if totals[k] <= limit:
                     choice[t] = k
                     break
-        tables[id(stage)] = (choice, batch_tab)
+        choices[id(stage)] = choice
         return f
 
-    root_f = solve(query.root, query.root.gamma)
-    if math.isinf(root_f[steps]):
-        raise ValueError(
-            f"query {query.name!r}: no feasible latency split within "
-            f"{query.slo_ms}ms SLO"
-        )
+    total = solve(root, root.gamma)[steps]
+    picks: list[tuple[QueryStage, int, float]] = []
+    if math.isinf(total):
+        return total, picks
 
-    budgets_out: dict[str, float] = {}
-    batches_out: dict[str, int] = {}
-
-    def reconstruct(stage: QueryStage, t: int) -> None:
-        choice, batch_tab = tables[id(stage)]
-        k = choice[t]
+    def reconstruct(stage: QueryStage, t: int, mult: float) -> None:
+        k = choices[id(stage)][t]
         if not stage.children and not stage.is_source:
             # Leaf stages absorb all remaining path slack: ties in the DP
             # cost table otherwise pin them at the smallest tied budget,
             # which starves the runtime of latency room for free.
             k = t
-        budgets_out[stage.name] = budgets[k]
-        batches_out[stage.name] = batch_tab[k]
+        picks.append((stage, k, mult))
         for child in stage.children:
-            reconstruct(child, t - k)
+            reconstruct(child, t - k, mult * child.gamma)
 
-    reconstruct(query.root, steps)
+    reconstruct(root, steps, root.gamma)
+    return total, picks
+
+
+#: A split solved at unit root rate: ``(budgets, batches, GPUs per rps)``.
+_UnitSplit = tuple[dict[str, float], dict[str, int], float]
+
+#: ``(stage tree, slo, epsilon, worst-case factor, floor, tolerance) ->``
+#: unit-rate split; bounded like every planner memo.
+_SPLITS: dict[Hashable, _UnitSplit] = {}
+
+
+def _tree_key(stage: QueryStage) -> Hashable | None:
+    """The value a stage tree's split is a pure function of, or ``None``
+    when some stage's profile has no :meth:`tables_key`."""
+    profile_key: Hashable | None = None  # a source stage
+    if stage.profile is not None:
+        profile_key = stage.profile.tables_key()
+        if profile_key is None:
+            return None
+    children: list[Hashable] = []
+    for child in stage.children:
+        child_key = _tree_key(child)
+        if child_key is None:
+            return None
+        children.append(child_key)
+    return (stage.name, profile_key, stage.gamma, tuple(children))
+
+
+def _unit_rate_split(
+    query: Query,
+    epsilon_ms: float,
+    worst_case_factor: float,
+    min_stage_frac: float,
+    slack_tolerance: float,
+) -> _UnitSplit:
+    budgets, floor_idx = _budget_grid(query, epsilon_ms, min_stage_frac)
+    batch_tabs: dict[int, list[int]] = {}
+
+    def stage_costs(stage: QueryStage, mult: float) -> list[float]:
+        costs, batch_tabs[id(stage)] = _stage_cost_table(
+            stage.profile, mult, budgets, worst_case_factor
+        )
+        return costs
+
+    total, picks = _solve_tree(
+        query.root, len(budgets) - 1, floor_idx, slack_tolerance, stage_costs
+    )
+    return (
+        {stage.name: budgets[k] for stage, k, _ in picks},
+        {stage.name: batch_tabs[id(stage)][k] for stage, k, _ in picks},
+        total,
+    )
+
+
+def plan_query(
+    query: Query,
+    rate_rps: float,
+    epsilon_ms: float = 5.0,
+    worst_case_factor: float = 1.0,
+    min_stage_frac: float = 0.2,
+    slack_tolerance: float = 0.05,
+) -> LatencySplit:
+    """Find the latency split minimizing total GPUs (section 6.2 DP).
+
+    A stage's GPU cost ``R * mult * l(b)/b`` is linear in the root rate
+    ``R``, so the optimum and the ``slack_tolerance`` band are the same
+    at every rate: the DP runs once at unit rate, and its split is
+    memoised by value (stage names, profile :meth:`tables_key`, gammas,
+    tree shape and the arguments below) for every later query and plan
+    that asks again.  A tree with an unkeyed profile is solved each call.
+
+    Args:
+        query: the dataflow query with profiles and gammas attached.
+        rate_rps: offered rate at the query root.  Only ``total_gpus``
+            depends on it; at rate 0, where every split costs nothing,
+            the split is the one every positive rate gets.
+        epsilon_ms: budget discretization; the DP is quadratic in
+            ``slo / epsilon``.
+        worst_case_factor: see :func:`_stage_cost_table`.
+        min_stage_frac: floor on each model stage's budget, as a fraction
+            of the whole-query SLO.  The pure DP objective happily starves
+            cheap stages down to near-zero budgets (their GPU cost barely
+            changes) -- but a near-zero latency budget is unservable at
+            runtime, where queueing jitter is not free.  Clamped so deep
+            chains stay feasible.
+        slack_tolerance: bounded regret for the per-stage budget choice:
+            each stage takes the smallest budget within this fraction of
+            the optimal subtree cost, leaving slack to its descendants
+            (worst case the plan costs ``(1+tol)^depth`` of optimal).
+
+    Returns:
+        The optimal :class:`LatencySplit`.
+
+    Raises:
+        ValueError: if no split can satisfy the SLO at all.
+    """
+    if rate_rps < 0:
+        raise ValueError(f"rate_rps must be >= 0, got {rate_rps}")
+    params = (epsilon_ms, worst_case_factor, min_stage_frac, slack_tolerance)
+    tree = _tree_key(query.root)
+    key = None if tree is None else (tree, query.slo_ms, params)
+    solved = None if key is None else _SPLITS.get(key)
+    if solved is None:
+        solved = _unit_rate_split(query, *params)
+        if key is not None:
+            remember(_SPLITS, key, solved)
+    budgets_out, batches_out, unit_gpus = solved
+    if math.isinf(unit_gpus):
+        raise ValueError(
+            f"query {query.name!r}: no feasible latency split within "
+            f"{query.slo_ms}ms SLO"
+        )
     return LatencySplit(
-        budgets_ms=budgets_out,
-        batches=batches_out,
-        total_gpus=root_f[steps],
+        budgets_ms=dict(budgets_out),
+        batches=dict(batches_out),
+        total_gpus=rate_rps * unit_gpus,
         rate_rps=rate_rps,
     )
 
@@ -373,22 +467,16 @@ def plan_query_classes(
                 weight = 1.0
         weights[name] = weight
 
-    steps = max(1, int(round(query.slo_ms / epsilon_ms)))
-    budgets = [i * query.slo_ms / steps for i in range(steps + 1)]
-    floor_frac = min(min_stage_frac, 0.8 / max(1, query.depth()))
-    floor_idx = int(floor_frac * steps)
+    budgets, floor_idx = _budget_grid(query, epsilon_ms, min_stage_frac)
 
-    # Per stage: chosen budget index plus, per budget, the winning class
-    # and its batch -- the DP below is plan_query's with the stage cost
-    # replaced by the min over classes.
-    tables: dict[int, tuple[list[int], list[int], list[str]]] = {}
+    # Per stage and budget, the winning class and its batch: the DP is
+    # plan_query's with the stage cost replaced by the min over classes.
+    tables: dict[int, tuple[list[int], list[str]]] = {}
 
-    def stage_tables(
-        stage: QueryStage, stage_rate: float
-    ) -> tuple[list[float], list[int], list[str]]:
+    def stage_costs(stage: QueryStage, mult: float) -> list[float]:
         if stage.is_source:
-            n = len(budgets)
-            return [0.0] * n, [0] * n, [""] * n
+            return [0.0] * len(budgets)
+        stage_rate = rate_rps * mult
         costs: list[float] = []
         batches: list[int] = []
         chosen: list[str] = []
@@ -412,44 +500,13 @@ def plan_query_classes(
             costs.append(best_cost)
             batches.append(best_batch)
             chosen.append(best_class)
-        return costs, batches, chosen
+        tables[id(stage)] = (batches, chosen)
+        return costs
 
-    def solve(stage: QueryStage, mult: float) -> list[float]:
-        costs, batch_tab, class_tab = stage_tables(stage, rate_rps * mult)
-        child_fs = [solve(child, mult * child.gamma) for child in stage.children]
-        k_min = 0 if stage.is_source else floor_idx
-        f = [math.inf] * (steps + 1)
-        choice = [0] * (steps + 1)
-        for t in range(steps + 1):
-            totals = [math.inf] * (t + 1)
-            for k in range(k_min, t + 1):
-                c = costs[k]
-                if math.isinf(c):
-                    continue
-                rest = t - k
-                bad = False
-                for child_f in child_fs:
-                    if math.isinf(child_f[rest]):
-                        bad = True
-                        break
-                    c += child_f[rest]
-                if bad:
-                    continue
-                totals[k] = c
-                if c < f[t]:
-                    f[t] = c
-            if math.isinf(f[t]):
-                continue
-            limit = f[t] * (1.0 + slack_tolerance)
-            for k in range(k_min, t + 1):
-                if totals[k] <= limit:
-                    choice[t] = k
-                    break
-        tables[id(stage)] = (choice, batch_tab, class_tab)
-        return f
-
-    root_f = solve(query.root, query.root.gamma)
-    if math.isinf(root_f[steps]):
+    total, picks = _solve_tree(
+        query.root, len(budgets) - 1, floor_idx, slack_tolerance, stage_costs
+    )
+    if math.isinf(total):
         raise ValueError(
             f"query {query.name!r}: no feasible latency split within "
             f"{query.slo_ms}ms SLO on any class of {class_names}"
@@ -459,44 +516,35 @@ def plan_query_classes(
     batches_out: dict[str, int] = {}
     devices_out: dict[str, str] = {}
     profiles_out: dict[str, BatchingProfile] = {}
-    totals = {"gpus": 0.0, "dollars": 0.0}
-
-    def reconstruct(stage: QueryStage, t: int, mult: float) -> None:
-        choice, batch_tab, class_tab = tables[id(stage)]
-        k = choice[t]
-        if not stage.children and not stage.is_source:
-            k = t  # leaf absorbs remaining path slack (see plan_query)
+    total_gpus = dollars = 0.0
+    for stage, k, mult in picks:
         budgets_out[stage.name] = budgets[k]
-        if not stage.is_source:
-            name = class_tab[k]
-            profile = class_profiles[name][stage.name]
-            # The chosen budget may exceed what the winning batch needs;
-            # re-derive the batch at the final budget (leaf slack can
-            # enlarge it, which only helps throughput).
-            b = profile.max_batch_with_latency(budgets[k] / worst_case_factor)
-            if b < 1:
-                b = max(1, batch_tab[k])
-            batches_out[stage.name] = b
-            devices_out[stage.name] = name
-            profiles_out[stage.name] = profile
-            gpus = rate_rps * mult * profile.latency(b) / b / 1000.0
-            totals["gpus"] += gpus
-            price = (prices or {}).get(name, 0.0)
-            totals["dollars"] += price * gpus
-        else:
+        if stage.is_source:
             batches_out[stage.name] = 0
             devices_out[stage.name] = ""
-        for child in stage.children:
-            reconstruct(child, t - k, mult * child.gamma)
-
-    reconstruct(query.root, steps, query.root.gamma)
+            continue
+        batch_tab, class_tab = tables[id(stage)]
+        name = class_tab[k]
+        profile = class_profiles[name][stage.name]
+        # The chosen budget may exceed what the winning batch needs;
+        # re-derive the batch at the final budget (leaf slack can
+        # enlarge it, which only helps throughput).
+        b = profile.max_batch_with_latency(budgets[k] / worst_case_factor)
+        if b < 1:
+            b = max(1, batch_tab[k])
+        batches_out[stage.name] = b
+        devices_out[stage.name] = name
+        profiles_out[stage.name] = profile
+        gpus = rate_rps * mult * profile.latency(b) / b / 1000.0
+        total_gpus += gpus
+        dollars += (prices or {}).get(name, 0.0) * gpus
     return MixedSplit(
         budgets_ms=budgets_out,
         batches=batches_out,
         devices=devices_out,
         stage_profiles=profiles_out,
-        total_gpus=totals["gpus"],
-        price_per_hour=totals["dollars"],
+        total_gpus=total_gpus,
+        price_per_hour=dollars,
         rate_rps=rate_rps,
     )
 

@@ -97,6 +97,38 @@ class TestQaGuard:
         assert budgets["b"] == pytest.approx(100.0)
 
 
+class TestPrefixFusion:
+    def test_fused_slo_is_never_looser_than_a_members(self):
+        """The fusion key rounds the SLO to 0.1 ms; a budget of 500/3 ms
+        rounds *up* to 166.7, which the fused session used to plan at."""
+        from repro.models.profiler import profile
+
+        cfg = ClusterConfig(device="gtx1080ti", query_analysis=False,
+                            expand_to_cluster=False)
+        c = NexusCluster(cfg)
+
+        def stage(name, model_id):
+            return QueryStage(name, profile(model_id, cfg.device),
+                              model_id=model_id)
+
+        for i in range(2):
+            root = stage("det", "ssd_vgg")
+            mid = root.add_child(stage("mid", f"mobilenet_v1@q{i}:2"))
+            mid.add_child(stage("leaf", f"lenet5@q{i}:11"))
+            c.add_query(Query(f"q{i}", root, slo_ms=500.0), rate_rps=20.0)
+        loads = {load.session_id: load for load in c.build_session_loads()}
+        budget = c._splits["q0"]["mid"]
+        assert budget == 500.0 / 3 and round(budget, 1) > budget
+        fused = [sid for sid in loads if sid.startswith("pb:")]
+        assert sorted(fused) == ["pb:lenet5@166.7ms#2",
+                                 "pb:mobilenet_v1@166.7ms#2"]
+        for sid in fused:
+            members = [m for m, f in c._aliases.items() if f == sid]
+            tightest = min(c._splits[m.split("/")[0]][m.split("/")[1]]
+                           for m in members)
+            assert loads[sid].slo_ms <= (1.0 - cfg.slo_margin) * tightest
+
+
 class TestClusterResult:
     def test_goodput_and_rates(self):
         qm = MetricsCollector()

@@ -1,13 +1,15 @@
-"""Value-interned ProfileTables and the one-pass fused-prefix curve.
+"""Value-interned ProfileTables, memoised splits and the blocked fused curve.
 
 A profile is a constant of the deployment, so ``tables()`` resolves
-through a bounded value-keyed intern table and a prefix-fused profile
-builds its whole latency curve in one pass.  Neither may change a single
-emitted number: these tests pin the interned tables to a fresh build
-field by field, the one-pass curve to the per-batch reference with
-``==``, and whole cluster plans to the plans a non-interning build emits.
+through a bounded value-keyed intern table, query splits are memoised by
+value, and a prefix-fused profile builds its whole latency curve in
+blocks of batches.  None of it may change a single emitted number: these
+tests pin the interned tables to a fresh build field by field, the
+blocked curve to the per-batch reference with ``==``, and whole cluster
+plans to the plans a non-interning build emits.
 """
 
+import contextlib
 import math
 import random
 
@@ -19,14 +21,16 @@ from repro.cluster import nexus
 from repro.cluster.nexus import ClusterConfig, NexusCluster
 from repro.core import profile as profile_mod
 from repro.core import profile_tables as pt
+from repro.core import query as query_mod
 from repro.core import squishy
-from repro.core.prefix import PrefixBatchedProfile
+from repro.core.prefix import _CURVE_BLOCK, PrefixBatchedProfile
 from repro.core.profile import (
     EffectiveProfile,
     LinearProfile,
     TabulatedProfile,
 )
 from repro.core.profile_tables import ProfileTables
+from repro.core.query import Query, QueryStage, plan_query
 from repro.core.queueing import max_batch_under_p99
 from repro.workloads.apps import all_apps
 
@@ -147,7 +151,7 @@ class TestWhatNeverInterns:
                 is not EffectiveProfile(base=b).tables())
 
 
-# ------------------------------------------------- the one-pass fused curve
+# --------------------------------------------------- the blocked fused curve
 
 
 def reference_latency(profile, batch):
@@ -174,6 +178,7 @@ def reference_latency(profile, batch):
 def assert_curve_is_the_reference(profile):
     curve = profile.latency_curve()
     assert len(curve) == profile.max_batch
+    assert all(type(lat) is float for lat in curve)  # not numpy scalars
     for batch in range(1, profile.max_batch + 1):
         expected, subs = reference_latency(profile, batch)
         assert profile.split_batch(batch) == subs
@@ -243,6 +248,48 @@ class TestOnePassFusedCurve:
         profile = _fused(trunk, heads, [r / total for r in rates])
         assert_curve_is_the_reference(profile)
 
+    @pytest.mark.parametrize("max_batch", [
+        1, 5, _CURVE_BLOCK - 1, _CURVE_BLOCK, _CURVE_BLOCK + 1,
+        2 * _CURVE_BLOCK + 13,
+    ])
+    def test_block_edges(self, max_batch):
+        trunk = LinearProfile(name="p", alpha=0.3, beta=4.0,
+                              max_batch=max_batch)
+        heads = [LinearProfile(name=f"s{i}", alpha=0.02 * (i + 1), beta=0.2,
+                               max_batch=max_batch) for i in range(7)]
+        profile = _fused(trunk, heads, [3.0, 1.0, 1.0, 0.5, 2.5, 1.0, 1.0])
+        assert_curve_is_the_reference(profile)
+
+    def test_suffix_tables_longer_than_the_prefix_are_truncated(self):
+        trunk = LinearProfile(name="p", alpha=0.5, beta=3.0, max_batch=40)
+        heads = [LinearProfile(name="s0", alpha=0.1, beta=0.1, max_batch=300),
+                 LinearProfile(name="s1", alpha=0.2, beta=0.3, max_batch=40)]
+        profile = _fused(trunk, heads, [0.7, 0.3])
+        assert_curve_is_the_reference(profile)
+
+    def test_one_suffix(self):
+        trunk = LinearProfile(name="p", alpha=0.5, beta=3.0, max_batch=100)
+        head = LinearProfile(name="s", alpha=0.1, beta=0.4, max_batch=60)
+        profile = _fused(trunk, [head], [2.0])
+        assert all(profile.split_batch(b) == [b] for b in (1, 60, 100))
+        assert_curve_is_the_reference(profile)
+
+    def test_remainder_ties_straddling_a_block_boundary(self):
+        # three equal weights: every batch not divisible by 3 hands its
+        # leftover inputs out in suffix order, on both sides of the first
+        # block boundary (batches _CURVE_BLOCK and _CURVE_BLOCK + 1)
+        trunk = LinearProfile(name="p", alpha=0.5, beta=3.0,
+                              max_batch=2 * _CURVE_BLOCK)
+        heads = [LinearProfile(name=f"s{i}", alpha=0.05 * (3 - i), beta=0.1,
+                               max_batch=2 * _CURVE_BLOCK) for i in range(3)]
+        profile = _fused(trunk, heads, [2.0, 2.0, 2.0])
+        edge = _CURVE_BLOCK
+        for batch in (edge - 1, edge, edge + 1, edge + 2):
+            base, extra = divmod(batch, 3)
+            assert profile.split_batch(batch) == (
+                [base + 1] * extra + [base] * (3 - extra))
+        assert_curve_is_the_reference(profile)
+
     def test_effective_view_consumes_the_curve(self):
         trunk = LinearProfile(name="p", alpha=0.5, beta=3.0, max_batch=48,
                               pre_ms=4.0, cpu_workers=2)
@@ -285,7 +332,13 @@ class TestEverythingIsBounded:
                     assert len(tables.slo_memo) <= limit
                     assert len(tables.p99_memo) <= limit
                 assert len(pt._INTERNED) <= limit
+                root = QueryStage("a", fresh)
+                root.add_child(QueryStage("b", shared, gamma=2.0))
+                with contextlib.suppress(ValueError):  # memoised too
+                    plan_query(Query("q", root, slo), rate, epsilon_ms=slo / 8)
+                assert len(query_mod._SPLITS) <= limit
         pt._INTERNED.clear()  # tables whose memos were capped at 16
+        query_mod._SPLITS.clear()
 
     def test_answers_survive_a_reset(self):
         profile = LinearProfile(name="m", alpha=1.0, beta=5.0, max_batch=32)
@@ -332,19 +385,22 @@ def _plan_nodes(cluster, rates):
 def _forget():
     pt._INTERNED.clear()
     nexus._FAMILY_PROFILES.clear()
+    query_mod._SPLITS.clear()
 
 
 class TestPlansAreTheParentsPlans:
     def test_warm_cold_and_cleared_tables_emit_one_plan(self, monkeypatch):
         draws = _rate_draws(_cluster())
 
-        # the parent's behaviour: every profile object builds its own tables
+        # no sharing: every profile object builds its own tables and every
+        # query solves its own split
         with monkeypatch.context() as patch:
             patch.setattr(profile_mod, "interned_tables", ProfileTables)
+            patch.setattr(query_mod, "_tree_key", lambda stage: None)
             _forget()
             cluster = _cluster()
             expected = [_plan_nodes(cluster, rates) for rates in draws]
-            assert not pt._INTERNED
+            assert not pt._INTERNED and not query_mod._SPLITS
         assert all(
             any(sid.startswith("pb:") for _, _, allocs in nodes
                 for sid, _, _ in allocs)
@@ -354,7 +410,7 @@ class TestPlansAreTheParentsPlans:
         _forget()
         cluster = _cluster()
         cold = [_plan_nodes(cluster, rates) for rates in draws]
-        assert pt._INTERNED and nexus._FAMILY_PROFILES
+        assert pt._INTERNED and nexus._FAMILY_PROFILES and query_mod._SPLITS
         warm = [_plan_nodes(cluster, rates) for rates in draws]
         cleared = []
         for rates in draws:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import query as query_module
 from repro.core.profile import LinearProfile, TabulatedProfile
 from repro.core.query import (
     Query,
@@ -216,3 +217,228 @@ class TestQueryStructure:
         by_id = {l.session_id: l for l in loads}
         assert by_id["xy/X"].rate_rps == pytest.approx(100.0)
         assert by_id["xy/Y"].rate_rps == pytest.approx(200.0)
+
+
+# ------------------------------------------- rate-free, memoised splits
+
+
+def reference_cost_table(profile, rate_rps, budgets_ms, worst_case_factor):
+    """The rate-scaled stage cost table, verbatim from before the split
+    was solved at unit rate."""
+    if profile is None:
+        return [0.0] * len(budgets_ms), [0] * len(budgets_ms)
+    costs, batches = [], []
+    for budget in budgets_ms:
+        b = profile.max_batch_with_latency(budget / worst_case_factor)
+        if b == 0:
+            costs.append(math.inf)
+            batches.append(0)
+        else:
+            costs.append(rate_rps * profile.latency(b) / b / 1000.0)
+            batches.append(b)
+    return costs, batches
+
+
+def reference_plan_query(query, rate_rps, epsilon_ms=5.0,
+                         worst_case_factor=1.0, min_stage_frac=0.2,
+                         slack_tolerance=0.05):
+    """The section 6.2 DP solved at ``rate_rps``, verbatim from before
+    the split was solved once at unit rate.  Returns ``(budgets,
+    batches, total_gpus)``; raises ValueError when infeasible."""
+    steps = max(1, int(round(query.slo_ms / epsilon_ms)))
+    budgets = [i * query.slo_ms / steps for i in range(steps + 1)]
+    floor_frac = min(min_stage_frac, 0.8 / max(1, query.depth()))
+    floor_idx = int(floor_frac * steps)
+    tables = {}
+
+    def solve(stage, mult):
+        stage_rate = rate_rps * mult
+        costs, batch_tab = reference_cost_table(
+            stage.profile, stage_rate, budgets, worst_case_factor
+        )
+        child_fs = [solve(child, mult * child.gamma) for child in stage.children]
+        k_min = 0 if stage.is_source else floor_idx
+        f = [math.inf] * (steps + 1)
+        choice = [0] * (steps + 1)
+        for t in range(steps + 1):
+            totals = [math.inf] * (t + 1)
+            for k in range(k_min, t + 1):
+                c = costs[k]
+                if math.isinf(c):
+                    continue
+                rest = t - k
+                bad = False
+                for child_f in child_fs:
+                    if math.isinf(child_f[rest]):
+                        bad = True
+                        break
+                    c += child_f[rest]
+                if bad:
+                    continue
+                totals[k] = c
+                if c < f[t]:
+                    f[t] = c
+            if math.isinf(f[t]):
+                continue
+            limit = f[t] * (1.0 + slack_tolerance)
+            for k in range(k_min, t + 1):
+                if totals[k] <= limit:
+                    choice[t] = k
+                    break
+        tables[id(stage)] = (choice, batch_tab)
+        return f
+
+    root_f = solve(query.root, query.root.gamma)
+    if math.isinf(root_f[steps]):
+        raise ValueError("infeasible")
+    budgets_out, batches_out = {}, {}
+
+    def reconstruct(stage, t):
+        choice, batch_tab = tables[id(stage)]
+        k = choice[t]
+        if not stage.children and not stage.is_source:
+            k = t
+        budgets_out[stage.name] = budgets[k]
+        batches_out[stage.name] = batch_tab[k]
+        for child in stage.children:
+            reconstruct(child, t - k)
+
+    reconstruct(query.root, steps)
+    return budgets_out, batches_out, root_f[steps]
+
+
+stage_profiles = st.one_of(
+    st.none(),  # a source stage
+    st.builds(
+        lambda a, b, mb: LinearProfile(name="l", alpha=a, beta=b, max_batch=mb),
+        st.floats(0.05, 5.0), st.floats(0.0, 30.0), st.integers(1, 128),
+    ),
+    st.builds(
+        lambda pts: TabulatedProfile(name="t", points=tuple(pts)),
+        st.lists(st.tuples(st.integers(1, 64), st.floats(1.0, 120.0)),
+                 min_size=1, max_size=4, unique_by=lambda p: p[0]).map(
+            lambda pts: list(zip(sorted(b for b, _ in pts),
+                                 sorted(lat for _, lat in pts)))
+        ),
+    ),
+)
+
+
+@st.composite
+def query_specs(draw):
+    """A stage tree of 1-5 stages as plain values: ``(parent index,
+    profile, gamma)`` per stage, plus the SLO."""
+    n = draw(st.sampled_from([5, 4, 3, 2, 1]))  # deep trees first
+    stages = [
+        (draw(st.integers(0, i - 1)) if i else -1,
+         draw(stage_profiles), draw(st.floats(0.3, 6.0)))
+        for i in range(n)
+    ]
+    return stages, draw(st.floats(20.0, 300.0))
+
+
+def build_query(spec, name="q"):
+    """A fresh Query (new stage and profile objects) from a spec."""
+    stages, slo = spec
+    built = []
+    for i, (parent, profile, gamma) in enumerate(stages):
+        if profile is not None:
+            profile = type(profile)(**{k: v for k, v in vars(profile).items()
+                                       if not k.startswith("_")})
+        stage = QueryStage(f"s{i}", profile, gamma=gamma)
+        if parent >= 0:
+            built[parent].add_child(stage)
+        built.append(stage)
+    return Query(name, built[0], slo)
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError:
+        return None
+
+
+class TestRateFreeSplits:
+    """plan_query solves once at unit rate and memoises by value; every
+    answer must be the rate-scaled DP's."""
+
+    @given(query_specs(), st.floats(3.0, 25.0),
+           st.floats(1e-3, 1e4), st.floats(1e-3, 1e4))
+    @settings(max_examples=300, deadline=None)
+    def test_budgets_and_batches_are_the_rate_scaled_dps(
+        self, spec, epsilon_ms, rate, other_rate
+    ):
+        kwargs = dict(epsilon_ms=epsilon_ms, worst_case_factor=2.0)
+        query = build_query(spec)
+        query_module._SPLITS.clear()
+        answers = []
+        for r, q in ((rate, query),                   # cold
+                     (other_rate, build_query(spec, "twin")),  # warm, by value
+                     (rate, query)):                  # warm again
+            answers.append((r, outcome(plan_query, q, r, **kwargs)))
+        assert len(query_module._SPLITS) == 1
+        query_module._SPLITS.clear()
+        answers.append((other_rate, outcome(plan_query, query, other_rate,
+                                            **kwargs)))  # cleared
+        for r, split in answers:
+            expected = outcome(reference_plan_query, query, r, **kwargs)
+            if expected is None:
+                assert split is None
+                continue
+            budgets, batches, total = expected
+            assert split.budgets_ms == budgets
+            assert split.batches == batches
+            assert split.total_gpus == pytest.approx(total, rel=1e-12)
+            assert split.rate_rps == r
+
+    def test_every_input_of_the_split_is_in_the_key(self):
+        def chain(slo=240.0, gamma=2.0, beta=5.0):
+            root = QueryStage("X", LinearProfile(name="x", alpha=1.0, beta=beta))
+            root.add_child(QueryStage(
+                "Y", LinearProfile(name="y", alpha=0.4, beta=12.0),
+                gamma=gamma,
+            ))
+            return Query("q", root, slo)
+
+        variants = [
+            (chain(), {}),
+            (chain(slo=120.0), {}),
+            (chain(gamma=0.5), {}),
+            (chain(beta=25.0), {}),
+            (chain(), {"epsilon_ms": 20.0}),
+            (chain(), {"worst_case_factor": 2.0}),
+            (chain(), {"min_stage_frac": 0.45}),
+            (chain(), {"slack_tolerance": 0.0}),
+        ]
+        query_module._SPLITS.clear()
+        splits = set()
+        for q, kwargs in variants:  # no clearing in between: all warm
+            split = plan_query(q, 100.0, **kwargs)
+            budgets, batches, _ = reference_plan_query(q, 100.0, **kwargs)
+            assert (split.budgets_ms, split.batches) == (budgets, batches)
+            splits.add(tuple(budgets.values()) + tuple(batches.values()))
+        assert len(query_module._SPLITS) == len(splits) == len(variants)
+
+    def test_results_do_not_alias_the_memo(self):
+        q = two_stage_query(1.0)
+        first = plan_query(q, 100.0)
+        first.budgets_ms["X"] = -1.0
+        first.batches["X"] = -1
+        again = plan_query(q, 100.0)
+        assert again.budgets_ms["X"] > 0 and again.batches["X"] > 0
+
+    def test_unkeyed_profiles_solve_every_call(self):
+        class Doubled(LinearProfile):
+            def latency(self, batch):
+                return 2.0 * super().latency(batch)
+
+        root = QueryStage("x", LinearProfile(name="x", alpha=1.0, beta=5.0))
+        root.add_child(QueryStage("y", Doubled(name="y", alpha=0.5, beta=2.0)))
+        q = Query("q", root, slo_ms=200.0)
+        query_module._SPLITS.clear()
+        split = plan_query(q, 50.0)
+        assert not query_module._SPLITS
+        budgets, batches, total = reference_plan_query(q, 50.0)
+        assert (split.budgets_ms, split.batches) == (budgets, batches)
+        assert split.total_gpus == pytest.approx(total, rel=1e-12)
