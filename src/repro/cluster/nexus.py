@@ -138,11 +138,13 @@ class ClusterConfig:
     retry_max: int = 3
     retry_backoff_ms: float = 5.0
     seed: int = 0
-    #: summary-mode metrics: fold every request outcome into counters and
-    #: a log-spaced latency histogram at record time instead of retaining
-    #: per-request records (megascale runs would hold millions).  Scalar
-    #: metrics and approximate percentiles keep working; record-based
-    #: timelines do not.
+    #: summary-mode metrics for the simulator driver (``NexusCluster.run``):
+    #: fold every request outcome into counters and a log-spaced latency
+    #: histogram at record time instead of retaining per-request records
+    #: (megascale runs would hold millions).  Scalar metrics and
+    #: approximate percentiles keep working; record-based timelines raise.
+    #: The live :class:`~repro.serving.runtime.ServingRuntime` ignores
+    #: this field: it always folds.
     summary_metrics: bool = False
 
 

@@ -19,6 +19,7 @@ _HIST_BASE_MS = 0.1
 _HIST_GROWTH = 1.05
 _LOG_HIST_GROWTH = math.log(_HIST_GROWTH)
 _HIST_BUCKETS = 284
+_log = math.log
 
 
 @dataclass(slots=True)
@@ -62,14 +63,17 @@ class TimeSeries:
 class MetricsCollector:
     """Accumulates request records and derives the paper's metrics.
 
-    ``keep_records=False`` switches to *summary mode* for megascale runs:
-    instead of retaining every :class:`RequestRecord` (gigabytes at 10k
-    GPUs), the collector folds each record into running counters,
-    per-session stats, and a log-spaced latency histogram at record time.
-    Timeline methods that need raw records are unavailable in summary
-    mode; everything scalar (totals, rates, goodput, approximate
-    percentiles) keeps working.  ``min_arrival_ms`` drops warmup-window
-    arrivals at record time (summary mode cannot filter after the fact).
+    ``keep_records=False`` switches to *summary mode*, which megascale
+    runs and the live serving plane use: instead of retaining every
+    :class:`RequestRecord` (gigabytes at 10k GPUs, unbounded on a
+    long-lived server), the collector folds each record into running
+    counters, per-session stats, and a log-spaced latency histogram at
+    record time.  Timeline methods that need raw records
+    (:meth:`workload_series`, :meth:`bad_rate_series`) raise
+    ``ValueError`` in summary mode; everything scalar (totals, rates,
+    goodput, approximate percentiles) keeps working.  ``min_arrival_ms``
+    drops warmup-window arrivals at record time (summary mode cannot
+    filter after the fact).
     """
 
     def __init__(
@@ -80,62 +84,54 @@ class MetricsCollector:
         self.records: list[RequestRecord] = []
         self.gpu_busy_ms: dict[int, float] = {}
         self._gpu_count_samples: list[tuple[float, int]] = []
-        # Summary-mode accumulators.
-        self._total = 0
-        self._ok = 0
-        self._dropped = 0
-        self._late = 0
+        # Summary-mode accumulators.  Each session counts its outcomes in
+        # one fixed [ok, dropped, late] list; totals are sums over
+        # sessions at read time.
+        self._session_stats: dict[str, list[int]] = {}
         self._first_arrival_ms = math.inf
         self._last_completion_ms = -math.inf
-        self._latency_hist: list[int] = []
-        self._session_stats: dict[str, dict[str, float]] = {}
+        self._latency_hist = [0] * (_HIST_BUCKETS + 1)
 
     # -------------------------------------------------------------- feeding
 
     def record(self, rec: RequestRecord) -> None:
-        if rec.arrival_ms < self.min_arrival_ms:
+        arrival = rec.arrival_ms
+        if arrival < self.min_arrival_ms:
             return
         if self.keep_records:
             self.records.append(rec)
             return
-        # The summary fold runs once per request of a megascale shard:
-        # ``ok`` and ``latency_ms`` are inlined, and the per-session
-        # dict is built only on a session's first record.
-        arrival = rec.arrival_ms
-        completion = rec.completion_ms
-        self._total += 1
+        # The summary fold runs once per request per collector -- twice
+        # per live request -- so ``ok`` and ``latency_ms`` are inlined,
+        # each outcome bumps exactly one session counter, and an outcome
+        # with no latency returns before the histogram.
         if arrival < self._first_arrival_ms:
             self._first_arrival_ms = arrival
-        last = completion or arrival
-        if last > self._last_completion_ms:
-            self._last_completion_ms = last
-        stats = self._session_stats.get(rec.session_id)
-        if stats is None:
-            stats = {"total": 0, "ok": 0, "dropped": 0, "late": 0}
-            self._session_stats[rec.session_id] = stats
-        stats["total"] += 1
+        session = self._session_stats.get(rec.session_id)
+        if session is None:
+            session = self._session_stats[rec.session_id] = [0, 0, 0]
+        completion = rec.completion_ms
+        if completion is None:
+            if arrival > self._last_completion_ms:
+                self._last_completion_ms = arrival
+            session[1 if rec.dropped else 2] += 1
+            return
+        if completion > self._last_completion_ms:
+            self._last_completion_ms = completion
         if rec.dropped:
-            self._dropped += 1
-            stats["dropped"] += 1
-        elif completion is not None and completion <= rec.deadline_ms:
-            self._ok += 1
-            stats["ok"] += 1
+            session[1] += 1
+        elif completion <= rec.deadline_ms:
+            session[0] += 1
         else:
-            self._late += 1
-            stats["late"] += 1
-        if completion is not None:
-            lat = completion - arrival
-            hist = self._latency_hist
-            if not hist:
-                hist = self._latency_hist = [0] * (_HIST_BUCKETS + 1)
-            if lat <= _HIST_BASE_MS:
-                bucket = 0
-            else:
-                bucket = min(
-                    _HIST_BUCKETS,
-                    int(math.log(lat / _HIST_BASE_MS) / _LOG_HIST_GROWTH) + 1,
-                )
-            hist[bucket] += 1
+            session[2] += 1
+        lat = completion - arrival
+        if lat <= _HIST_BASE_MS:
+            self._latency_hist[0] += 1
+        else:
+            bucket = int(_log(lat / _HIST_BASE_MS) / _LOG_HIST_GROWTH) + 1
+            self._latency_hist[
+                bucket if bucket < _HIST_BUCKETS else _HIST_BUCKETS
+            ] += 1
 
     def record_gpu_busy(self, gpu_id: int, busy_ms: float) -> None:
         self.gpu_busy_ms[gpu_id] = self.gpu_busy_ms.get(gpu_id, 0.0) + busy_ms
@@ -145,28 +141,32 @@ class MetricsCollector:
 
     # ------------------------------------------------------------- summary
 
+    def _folded(self, outcome: int) -> int:
+        """Summary mode: one outcome's count summed over sessions."""
+        return sum(s[outcome] for s in self._session_stats.values())
+
     @property
     def total(self) -> int:
         if not self.keep_records:
-            return self._total
+            return sum(map(sum, self._session_stats.values()))
         return len(self.records)
 
     @property
     def ok_count(self) -> int:
         if not self.keep_records:
-            return self._ok
+            return self._folded(0)
         return sum(1 for r in self.records if r.ok)
 
     @property
     def dropped_count(self) -> int:
         if not self.keep_records:
-            return self._dropped
+            return self._folded(1)
         return sum(1 for r in self.records if r.dropped)
 
     @property
     def late_count(self) -> int:
         if not self.keep_records:
-            return self._late
+            return self._folded(2)
         return sum(
             1 for r in self.records if not r.dropped and not r.ok
         )
@@ -233,6 +233,11 @@ class MetricsCollector:
     # ------------------------------------------------------------ timelines
 
     def _sorted_by_arrival(self) -> list[RequestRecord]:
+        if not self.keep_records:
+            raise ValueError(
+                "record timelines are unavailable in summary mode "
+                "(keep_records=False retains no per-request records)"
+            )
         return sorted(self.records, key=lambda r: r.arrival_ms)
 
     def workload_series(self, window_ms: float, end_ms: float) -> TimeSeries:
@@ -285,12 +290,13 @@ class MetricsCollector:
         """Per-session totals: count, ok, dropped, bad rate."""
         out: dict[str, dict[str, float]] = {}
         if not self.keep_records:
-            for sid, stats in self._session_stats.items():
-                s = dict(stats)
-                s["bad_rate"] = (
-                    1.0 - (s["ok"] / s["total"] if s["total"] else 1.0)
-                )
-                out[sid] = s
+            for sid, (ok, dropped, late) in self._session_stats.items():
+                total = ok + dropped + late
+                out[sid] = {
+                    "total": total, "ok": ok, "dropped": dropped,
+                    "late": late,
+                    "bad_rate": 1.0 - (ok / total if total else 1.0),
+                }
             return out
         for rec in self.records:
             s = out.setdefault(

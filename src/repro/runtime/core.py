@@ -72,9 +72,13 @@ class RuntimeCore:
             failures.
         trace: record the full structured event stream into
             :attr:`trace_buffer` (otherwise metrics-only).
-        summary_metrics: megascale mode -- metrics collectors fold each
-            outcome into counters at record time instead of retaining
-            per-request records.
+        summary_metrics: metrics collectors fold each outcome into
+            counters, per-session stats and a latency histogram at record
+            time instead of retaining per-request records.  The live
+            :class:`~repro.serving.runtime.ServingRuntime` always sets it.
+            The simulator driver takes it from
+            ``ClusterConfig.summary_metrics`` (on for megascale shards),
+            since its experiments read record timelines.
     """
 
     def __init__(
@@ -105,7 +109,8 @@ class RuntimeCore:
         self.routing: "RoutingTable" = RoutingTable()
         # Summary mode folds outcomes into counters/histograms at record
         # time instead of retaining per-request records -- megascale runs
-        # would otherwise hold millions of them (see MetricsCollector).
+        # and long-lived servers would otherwise hold millions of them
+        # (see MetricsCollector).
         keep = not summary_metrics
         self.invocation_metrics: "MetricsCollector" = MetricsCollector(
             keep_records=keep

@@ -104,6 +104,9 @@ class ServingRuntime:
         self.events = events
         self.planner = NexusCluster(cfg)
         pool_config, retry_policy = pool_and_retry(cfg, cfg.max_gpus)
+        # Always summary mode: a live server's request count is unbounded,
+        # and nothing on this plane reads more than counters, per-session
+        # stats and histogram percentiles, so no outcome is retained.
         self.core = RuntimeCore(
             events,
             pool_config=pool_config,
@@ -111,6 +114,7 @@ class ServingRuntime:
             seed=cfg.seed,
             retry_policy=retry_policy,
             trace=trace,
+            summary_metrics=True,
         )
         self.plan: "SchedulePlan | None" = None
         #: app name -> (query, latency split); rebuilt on every deploy
@@ -214,16 +218,20 @@ class ServingRuntime:
     # -------------------------------------------------------------- status
 
     def stats(self) -> dict[str, object]:
-        """Aggregate serving statistics (the ``/v1/metrics`` payload)."""
+        """Aggregate serving statistics (the ``/v1/metrics`` payload).
+
+        O(sessions + histogram buckets): the collectors fold outcomes at
+        record time, so the latency percentiles are histogram bucket upper
+        edges, at most 5 % above the exact value.
+        """
         import math
 
         qm = self.core.query_metrics
         span_ms = max(self.events.now - self._started_ms, 1e-6)
 
         def pct(p: float) -> float:
-            # latency_percentile returns numpy scalars (and NaN with no
-            # records); the REST layer needs plain JSON floats.
-            value = float(qm.latency_percentile(p))
+            # NaN before the first served query; JSON has no NaN.
+            value = qm.latency_percentile(p)
             return 0.0 if math.isnan(value) else value
 
         return {

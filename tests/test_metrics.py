@@ -174,3 +174,16 @@ class TestSummaryMode:
             # The upper edge of the exact value's bucket: never below it,
             # at most 5 % above (float slack at the bucket edges).
             assert exact * (1 - 1e-9) <= approx <= exact * 1.05 * (1 + 1e-9)
+
+    @pytest.mark.parametrize("series", ["workload_series", "bad_rate_series"])
+    def test_record_timelines_raise(self, series):
+        """Regression: a folded collector used to sort its empty record
+        list and answer an all-zero series as if nothing had arrived."""
+        folded = MetricsCollector(keep_records=False)
+        for i in range(10):
+            folded.record(rec(i, i * 10.0, 100.0, i * 10.0 + 5.0))
+        with pytest.raises(ValueError, match="summary mode"):
+            getattr(folded, series)(100.0, 200.0)
+        # The GPU-count timeline is sampled, not derived from records.
+        folded.sample_gpu_count(0.0, 2)
+        assert folded.gpu_count_series(100.0, 200.0).values == [2.0, 2.0]

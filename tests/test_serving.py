@@ -1,6 +1,6 @@
-"""The live serving plane: spec parsing, driver equivalence, HTTP, loadgen.
+"""The live serving plane: specs, driver equivalence, metrics, HTTP, loadgen.
 
-Three layers of coverage:
+Four layers of coverage:
 
 - :func:`repro.serving.runtime.parse_app_spec` -- the CLI/REST app
   grammar;
@@ -12,6 +12,8 @@ Three layers of coverage:
   byte-identical dispatch outcomes (same completions, same drops, same
   timestamps) -- the tentpole's "the simulator is just one driver"
   claim, tested;
+- the record-time metric fold -- ``stats()`` against exact tallies of
+  the outcomes callers saw, with no per-request record retained;
 - the asyncio HTTP frontend and open-loop load generator, exercised
   in-process over real sockets (response ordering under pipelining, the
   REST surface, and a short serve+loadgen burst).
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 
 import pytest
 
@@ -34,6 +37,7 @@ from repro.serving.runtime import (
 )
 from repro.serving.server import NexusServer
 from repro.simulation.simulator import Simulator
+from repro.workloads.apps import traffic_query
 from repro.workloads.arrivals import poisson_arrivals
 
 
@@ -119,6 +123,74 @@ class TestDriverEquivalence:
         assert counters_sim == counters_man
         # The run is non-degenerate: some queries complete ok.
         assert counters_sim[1] > 0
+
+
+def _exact_percentile(latencies: list[float], pct: float) -> float:
+    """The retained-records percentile: nearest rank over sorted values."""
+    lats = sorted(latencies)
+    idx = min(len(lats) - 1, math.ceil(pct / 100.0 * len(lats)) - 1)
+    return lats[max(0, idx)]
+
+
+class TestLiveMetricsFold:
+    """The live runtime folds outcomes at record time: nothing per request
+    is retained, and ``/v1/metrics`` agrees with the outcomes callers saw."""
+
+    STATS_KEYS = {
+        "now_ms", "span_ms", "queries", "good_rate", "bad_rate",
+        "goodput_rps", "latency_p50_ms", "latency_p99_ms", "dropped",
+        "late", "epochs", "gpus",
+    }
+
+    def test_stats_match_exact_tallies(self):
+        events = Simulator()
+        cfg = ClusterConfig(max_gpus=12, seed=3)
+        runtime = ServingRuntime(events, cfg)
+        runtime.add_app(single_model_query("lenet5", 50.0, cfg.device), 2_000.0)
+        runtime.add_app(traffic_query(cfg.device), 60.0)
+        runtime.deploy()
+        outcomes = []
+
+        def on_done(instance):
+            outcomes.append((
+                instance.failed, instance.arrival_ms, instance.deadline_ms,
+                instance.completion_ms,
+            ))
+
+        for seed, (app, rate) in enumerate(
+            (("lenet5", 2_000.0), (runtime.app_names[1], 60.0))
+        ):
+            for t in poisson_arrivals(rate, 2_500.0, seed=seed):
+                events.schedule_at(
+                    t, lambda app=app: runtime.submit(app, on_done)
+                )
+        events.run_until(6_000.0)
+
+        core = runtime.core
+        assert core.query_metrics.records == []
+        assert core.invocation_metrics.records == []
+        # Multi-stage queries fan out: more stage requests than queries.
+        assert core.invocation_metrics.total > len(outcomes)
+
+        dropped = sum(1 for failed, *_ in outcomes if failed)
+        served = [
+            (completion - arrival, completion <= deadline)
+            for failed, arrival, deadline, completion in outcomes
+            if not failed
+        ]
+        ok = sum(1 for _, in_slo in served if in_slo)
+        stats = runtime.stats()
+        assert set(stats) == self.STATS_KEYS
+        assert len(outcomes) > 5_000
+        assert stats["queries"] == len(outcomes)
+        assert stats["dropped"] == dropped
+        assert stats["late"] == len(served) - ok
+        assert stats["good_rate"] == ok / len(outcomes)
+        assert 0 < ok < len(outcomes)  # some outcomes miss their SLO
+        latencies = [lat for lat, _ in served]
+        for key, pct in (("latency_p50_ms", 50.0), ("latency_p99_ms", 99.0)):
+            exact = _exact_percentile(latencies, pct)
+            assert exact * (1 - 1e-9) <= stats[key] <= exact * 1.05 * (1 + 1e-9)
 
 
 class _Captured(Exception):
