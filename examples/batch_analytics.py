@@ -20,6 +20,7 @@ from repro.cluster.backend import Backend, BackendSession
 from repro.cluster.messages import Request
 from repro.core.profile import LinearProfile
 from repro.metrics import MetricsCollector
+from repro.observability import Tracer
 from repro.simulation.simulator import Simulator
 from repro.workloads.arrivals import poisson_arrivals
 
@@ -27,7 +28,8 @@ from repro.workloads.arrivals import poisson_arrivals
 def run(defer: bool) -> MetricsCollector:
     sim = Simulator()
     collector = MetricsCollector()
-    backend = Backend(sim, collector=collector, defer_missed=defer)
+    backend = Backend(sim, tracer=Tracer(invocation=collector),
+                      defer_missed=defer)
     profile = LinearProfile(name="indexer", alpha=1.0, beta=20.0,
                             max_batch=32)
     backend.set_schedule([BackendSession(

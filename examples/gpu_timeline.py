@@ -14,6 +14,7 @@ from repro.cluster.messages import Request
 from repro.core import Session, SessionLoad, squishy_bin_packing
 from repro.core.profile import LinearProfile
 from repro.metrics import MetricsCollector, render_gantt
+from repro.observability import Tracer
 from repro.simulation.simulator import Simulator
 from repro.workloads.arrivals import uniform_arrivals
 
@@ -41,7 +42,7 @@ def main() -> None:
     # Deploy the first GPU's schedule on a traced backend and drive it.
     sim = Simulator()
     collector = MetricsCollector()
-    backend = Backend(sim, collector=collector)
+    backend = Backend(sim, tracer=Tracer(invocation=collector))
     backend.trace_enabled = True
     gpu0 = plan.gpus[0]
     backend.set_schedule([

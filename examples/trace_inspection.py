@@ -25,7 +25,6 @@ from repro.models.profiler import profile
 from repro.observability import (
     BATCH_EXECUTED,
     REQUEST_COMPLETED,
-    MetricsSink,
     TraceBuffer,
     Tracer,
     batch_size_histogram,
@@ -52,14 +51,13 @@ def main() -> None:
     print(f"squishy packed {len(loads)} sessions onto {plan.num_gpus} "
           f"GPU(s); inspecting gpu0 (duty {gpu0.duty_cycle_ms:.1f} ms)")
 
-    # A tracer with two sinks: the metrics collector (aggregates) and a
-    # buffer recording every structured event (the raw stream).
+    # A tracer that records outcomes into a metrics collector (the
+    # aggregates) and hands every structured event to a buffer (the raw
+    # stream).
     sim = Simulator()
     collector = MetricsCollector()
     buffer = TraceBuffer()
-    backend = Backend(sim, collector=collector,
-                      tracer=Tracer([MetricsSink(invocation=collector),
-                                     buffer]))
+    backend = Backend(sim, tracer=Tracer([buffer], invocation=collector))
     specs = {}
     for a in gpu0.allocations:
         specs[a.session_id] = BackendSession(

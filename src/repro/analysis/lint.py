@@ -872,7 +872,7 @@ class _Linter(ast.NodeVisitor):
             name = func.id
         else:
             return False
-        if name == "emit" or name.startswith("fast_"):
+        if name == "emit":
             return True
         return name.startswith(_TRACING_HELPER_PREFIXES)
 

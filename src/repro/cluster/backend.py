@@ -26,14 +26,13 @@ from typing import TYPE_CHECKING
 
 from ..core.drop import DropPolicy, EarlyDropPolicy, consume_selected
 from ..core.profile import BatchingProfile
-from ..metrics.collector import MetricsCollector
 from ..observability.events import (
     DROP_BACKEND_FAILED,
     DROP_EARLY,
     DROP_MISROUTED,
     DROP_UNSCHEDULED,
 )
-from ..observability.tracer import Tracer, tracer_for_collector
+from ..observability.tracer import NULL_TRACER, Tracer
 from .messages import Request
 
 if TYPE_CHECKING:
@@ -106,12 +105,11 @@ class Backend:
     Args:
         sim: the clock/timer driver (simulator or live event source).
         gpu_id: identifier for metrics.
-        collector: sink for per-request outcome records (invocation
-            granularity); pass None to rely on callbacks only.
-        tracer: structured event tracer; when omitted, one is derived
-            from ``collector`` (metrics-only, no event recording).  All
-            outcome records reach the collector *through* the tracer's
-            event stream.
+        tracer: records per-request outcomes and GPU busy time into its
+            invocation collector and emits events to its sinks; the
+            default :data:`~repro.observability.tracer.NULL_TRACER`
+            records nothing, leaving the request callbacks as the only
+            outcome channel.
         pacing: ``"cycle"`` or ``"greedy"`` (see module docstring).
         overlap: CPU/GPU overlap (OL).
         interference_factor: per-extra-co-located-session latency
@@ -125,7 +123,6 @@ class Backend:
         self,
         sim: EventSource,
         gpu_id: int = 0,
-        collector: MetricsCollector | None = None,
         pacing: str = "cycle",
         overlap: bool = True,
         interference_factor: float = 0.0,
@@ -138,10 +135,7 @@ class Backend:
         self.sim = sim
         self.gpu_id = gpu_id
         self.device = device
-        self.collector = collector
-        self.tracer = (
-            tracer if tracer is not None else tracer_for_collector(collector)
-        )
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.pacing = pacing
         self.overlap = overlap
         self.interference_factor = interference_factor

@@ -25,9 +25,8 @@ from typing import TYPE_CHECKING, Callable, cast
 import numpy as np
 
 from ..core.query import Query, QueryStage
-from ..metrics.collector import MetricsCollector
-from ..observability.events import DROP_BACKEND_FAILED
-from ..observability.tracer import Tracer, tracer_for_collector
+from ..observability.events import DROP_BACKEND_FAILED, DROP_UNROUTABLE
+from ..observability.tracer import NULL_TRACER, Tracer
 from .backend import Backend
 from .messages import Request, new_request_id
 
@@ -187,10 +186,11 @@ class Frontend:
     Args:
         sim: the clock/timer driver (simulator or live event source).
         routing: the (shared) routing table pushed by the global scheduler.
-        query_collector: sink for whole-query outcome records.
-        tracer: structured event tracer; when omitted, one is derived
-            from ``query_collector`` (metrics-only).  Query outcomes reach
-            the collector *through* the tracer's event stream.
+        tracer: records whole-query outcomes into its query collector,
+            terminal frontend drops into its invocation collector, and
+            emits events to its sinks; the default
+            :data:`~repro.observability.tracer.NULL_TRACER` records
+            nothing.
         seed: RNG seed for fan-out sampling (deterministic experiments).
         session_prefix_fn: maps ``(query_name, stage_name)`` to the session
             id used in the routing table; default ``"<query>/<stage>"``.
@@ -200,18 +200,13 @@ class Frontend:
         self,
         sim: EventSource,
         routing: RoutingTable,
-        query_collector: MetricsCollector | None = None,
         seed: int = 0,
         tracer: Tracer | None = None,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
         self.sim = sim
         self.routing = routing
-        self.query_collector = query_collector
-        self.tracer = (
-            tracer if tracer is not None
-            else tracer_for_collector(query=query_collector)
-        )
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self._seed = seed
         #: per-query fan-out RNG substreams (lazily created).  Keying the
         #: stream by query name makes each query's draw sequence depend
@@ -265,6 +260,10 @@ class Frontend:
         if backend is None:
             self.routing_failures += 1
             self.tracer.route_failed(now, session_id)
+            self.tracer.request_dropped(
+                now, session_id, request.request_id, now, request.deadline_ms,
+                DROP_UNROUTABLE,
+            )
             if on_drop is not None:
                 on_drop(request, now)
             return False
@@ -342,6 +341,10 @@ class Frontend:
         if backend is None:
             self.routing_failures += 1
             self.tracer.route_failed(now, session_id)
+            self.tracer.request_dropped(
+                now, session_id, request.request_id, now, deadline,
+                DROP_UNROUTABLE,
+            )
             instance.stage_dropped(stage, now)
             return
         self.dispatched += 1

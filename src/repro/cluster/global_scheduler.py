@@ -26,8 +26,7 @@ from ..core.drop import DropPolicy, EarlyDropPolicy, LazyDropPolicy
 from ..core.fleet import Fleet
 from ..core.floatcmp import definitely_gt
 from ..core.squishy import GpuPlan, SchedulePlan
-from ..metrics.collector import MetricsCollector
-from ..observability.tracer import Tracer, tracer_for_collector
+from ..observability.tracer import NULL_TRACER, Tracer
 from .backend import Backend, BackendSession
 from .frontend import RoutingTable
 
@@ -80,22 +79,23 @@ class PoolConfig:
 
 
 class BackendPool:
-    """Physical backends + the routing table, kept in sync with plans."""
+    """Physical backends + the routing table, kept in sync with plans.
+
+    ``tracer`` is shared with every backend the pool drafts; its
+    invocation collector receives their outcomes and one GPU-count
+    sample per applied plan.
+    """
 
     def __init__(
         self,
         sim: EventSource,
         routing: RoutingTable,
-        collector: MetricsCollector | None = None,
         config: PoolConfig | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         self.sim = sim
         self.routing = routing
-        self.collector = collector
-        self.tracer = (
-            tracer if tracer is not None else tracer_for_collector(collector)
-        )
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.config = config or PoolConfig()
         self.backends: list[Backend] = []
         self._active: set[int] = set()
@@ -245,7 +245,6 @@ class BackendPool:
                 Backend(
                     self.sim,
                     gpu_id=len(self.backends),
-                    collector=self.collector,
                     tracer=self.tracer,
                     pacing=self.config.pacing,
                     overlap=self.config.overlap,

@@ -225,8 +225,9 @@ def equivalence_report(result: ClusterResult) -> str:
     """Canonical, execution-order-insensitive digest of a run.
 
     Two runs that served the same work compare equal byte for byte:
-    per-session integer counters, per-session sorted latency lists, the
-    exactly-rounded total GPU busy time (``math.fsum`` is
+    per-session integer counters, per-session sorted latency lists (the
+    latency histogram for a summary-mode collector, which keeps no
+    records), the exactly-rounded total GPU busy time (``math.fsum`` is
     order-independent), and the fault/detection logs.  Deliberately
     excluded: request and node ids and per-slot busy keys, which number
     the run's bookkeeping rather than its outcome.
@@ -247,9 +248,16 @@ def equivalence_report(result: ClusterResult) -> str:
             out[sid] = entry
         return out
 
+    def latency_histogram(collector: MetricsCollector) -> object:
+        return None if collector.keep_records else collector.latency_histogram
+
     payload = {
         "queries": per_session(result.query_metrics),
         "invocations": per_session(result.invocation_metrics),
+        "query_latency_histogram": latency_histogram(result.query_metrics),
+        "invocation_latency_histogram": latency_histogram(
+            result.invocation_metrics
+        ),
         "gpu_busy_total_ms": math.fsum(
             result.invocation_metrics.gpu_busy_ms.values()
         ),

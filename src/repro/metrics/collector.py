@@ -224,6 +224,13 @@ class MetricsCollector:
         idx = min(len(lats) - 1, int(math.ceil(pct / 100.0 * len(lats))) - 1)
         return lats[max(0, idx)]
 
+    @property
+    def latency_histogram(self) -> tuple[int, ...]:
+        """Summary mode's latency bucket counts (all zero with records
+        kept): bucket 0 holds latencies <= 0.1 ms, bucket ``k`` those up
+        to ``0.1 * 1.05 ** k`` ms."""
+        return tuple(self._latency_hist)
+
     def utilization(self, num_gpus: int, span_ms: float) -> float:
         if num_gpus <= 0 or span_ms <= 0:
             return 0.0

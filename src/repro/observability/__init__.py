@@ -1,11 +1,12 @@
 """Observability: structured tracing, metrics export, trace analysis.
 
-The cluster runtime emits typed :class:`TraceEvent` records through a
-:class:`Tracer` (a no-op by default); sinks consume the stream:
+The cluster runtime reports through a :class:`Tracer` (a no-op by
+default).  Each outcome -- a request completed or dropped, a batch
+executed, a query finished, a plan applied -- is recorded straight into
+the tracer's :class:`~repro.metrics.collector.MetricsCollector` pair, which
+derive the paper's numbers.  When sinks are attached, every call also
+becomes a typed :class:`TraceEvent` on the stream they consume:
 
-- :class:`MetricsSink` feeds the existing
-  :class:`~repro.metrics.collector.MetricsCollector` -- the paper's
-  numbers derive from the same events every exporter sees;
 - :class:`TraceBuffer` records the full stream for export
   (:func:`chrome_trace` for ``chrome://tracing`` / Perfetto,
   :func:`prometheus_snapshot` for counters/gauges, :func:`csv_dump` for
@@ -27,8 +28,6 @@ from .analysis import (
 from .events import (
     BATCH_EXECUTED,
     EPOCH_PLANNED,
-    LIFECYCLE_KINDS,
-    OUTCOME_KINDS,
     PLAN_APPLIED,
     QUERY_COMPLETED,
     QUERY_SUBMITTED,
@@ -52,14 +51,11 @@ from .exporters import (
 )
 from .tracer import (
     NULL_TRACER,
-    MetricsSink,
-    NullTracer,
     TraceBuffer,
     Tracer,
     active_trace_buffer,
     capture_trace,
     set_active_trace_buffer,
-    tracer_for_collector,
 )
 
 __all__ = [
@@ -69,11 +65,9 @@ __all__ = [
     "QUERY_SUBMITTED", "REQUEST_ADMITTED", "REQUEST_COMPLETED",
     "REQUEST_DROPPED", "ROUTE_FAILED", "SESSION_PLACED",
     "SESSION_RELOCATED", "SESSION_REMOVED", "SIM_WINDOW",
-    "OUTCOME_KINDS", "LIFECYCLE_KINDS",
     # tracer
-    "Tracer", "NullTracer", "TraceBuffer", "MetricsSink", "NULL_TRACER",
-    "tracer_for_collector", "capture_trace", "active_trace_buffer",
-    "set_active_trace_buffer",
+    "Tracer", "TraceBuffer", "NULL_TRACER", "capture_trace",
+    "active_trace_buffer", "set_active_trace_buffer",
     # exporters
     "chrome_trace", "write_chrome_trace", "prometheus_snapshot",
     "write_prometheus_snapshot", "csv_dump", "write_csv",

@@ -42,10 +42,10 @@ kind                      meaning
 ========================  =====================================================
 
 The outcome kinds (``request.completed``, ``request.dropped``,
-``batch.executed``, ``query.completed``, ``plan.applied``) double as the
-feed for :class:`~repro.metrics.collector.MetricsCollector`: the collector
-is just one more sink on the same stream (see
-:class:`~repro.observability.tracer.MetricsSink`).
+``batch.executed``, ``query.completed``, ``plan.applied``) are also what
+:class:`~repro.metrics.collector.MetricsCollector` counts: the
+:class:`~repro.observability.tracer.Tracer` method for each records into
+the collectors itself and builds the event only when a sink is attached.
 """
 
 from __future__ import annotations
@@ -72,8 +72,6 @@ __all__ = [
     "REQUEST_RETRIED",
     "SIM_WINDOW",
     "ORACLE_COMPARED",
-    "OUTCOME_KINDS",
-    "LIFECYCLE_KINDS",
     "DROP_MISROUTED",
     "DROP_EARLY",
     "DROP_UNSCHEDULED",
@@ -101,36 +99,6 @@ BACKEND_SLOWDOWN = "backend.slowdown"
 REQUEST_RETRIED = "request.retried"
 SIM_WINDOW = "sim.window"
 ORACLE_COMPARED = "oracle.compared"
-
-#: kinds the metrics pipeline depends on -- always emitted when any sink
-#: is attached, because :class:`MetricsSink` derives the paper's numbers
-#: from them.
-OUTCOME_KINDS = frozenset({
-    REQUEST_DROPPED,
-    REQUEST_COMPLETED,
-    BATCH_EXECUTED,
-    QUERY_COMPLETED,
-    PLAN_APPLIED,
-})
-
-#: purely observational kinds -- skipped entirely (no allocation) unless a
-#: recording sink asked for them, so the default metrics-only path pays
-#: nothing for them.
-LIFECYCLE_KINDS = frozenset({
-    REQUEST_ADMITTED,
-    QUERY_SUBMITTED,
-    ROUTE_FAILED,
-    SESSION_PLACED,
-    SESSION_REMOVED,
-    SESSION_RELOCATED,
-    EPOCH_PLANNED,
-    BACKEND_FAILED,
-    BACKEND_RECOVERED,
-    BACKEND_SLOWDOWN,
-    REQUEST_RETRIED,
-    SIM_WINDOW,
-    ORACLE_COMPARED,
-})
 
 # ------------------------------------------------------------ drop reasons
 

@@ -1,26 +1,27 @@
-"""The tracer: low-overhead structured event emission with pluggable sinks.
+"""The tracer: one outcome path into the metrics collectors, plus sinks.
 
 Design (mirrors how production tracing layers are shaped):
 
-- A :class:`Tracer` owns a list of sinks and exposes one typed ``emit_*``
-  method per event kind.  Call sites always talk to a tracer -- there is
-  no ``if tracing:`` sprinkled through the runtime.
-- With **no sinks** every emit method returns before allocating anything:
-  the shared :data:`NULL_TRACER` is the default for standalone components
-  and costs one attribute load + one branch per call.
-- With only a :class:`MetricsSink` (the normal cluster run), *outcome*
-  events still flow -- they are how the
-  :class:`~repro.metrics.collector.MetricsCollector` is fed -- but
-  *lifecycle* events (admissions, placements, route failures) are skipped
-  without allocation, and outcome events take a typed fast path that
-  feeds the sink without building a :class:`TraceEvent`, so metrics-only
-  runs match the pre-tracing cost.
+- A :class:`Tracer` holds the deployment's two
+  :class:`~repro.metrics.collector.MetricsCollector` objects (``invocation``
+  and ``query``) and a list of sinks, and exposes one typed method per
+  event kind.  Call sites always talk to a tracer -- there is no
+  ``if tracing:`` sprinkled through the runtime.
+- *Outcome* methods (``request_completed``, ``request_dropped``,
+  ``batch_executed``, ``query_completed``, ``plan_applied``) record into
+  the collectors directly -- this is how the paper's numbers are fed --
+  and build a :class:`TraceEvent` only when a sink is attached.
+- *Lifecycle* methods (admissions, placements, route failures, ...)
+  only exist for sinks and return before allocating anything without
+  one.
+- With **no sinks and no collectors** every method is a no-op: the
+  shared :data:`NULL_TRACER` is the default for standalone components.
 - Attaching a :class:`TraceBuffer` (``NexusCluster.run(trace=True)``, the
   CLI's ``--trace-out``, or :func:`capture_trace`) turns on the full
   stream.
 
-Sink protocol: any object with ``emit(event: TraceEvent)``.  Sinks that
-only need outcome events set ``wants_lifecycle = False``.
+Sink protocol: any object with ``emit(event: TraceEvent)``.  Sinks are
+fixed at construction.
 """
 
 from __future__ import annotations
@@ -53,11 +54,8 @@ from .events import (
 
 __all__ = [
     "Tracer",
-    "NullTracer",
     "TraceBuffer",
-    "MetricsSink",
     "NULL_TRACER",
-    "tracer_for_collector",
     "capture_trace",
     "active_trace_buffer",
     "set_active_trace_buffer",
@@ -66,8 +64,6 @@ __all__ = [
 
 class TraceBuffer:
     """A sink that records every event in emission order."""
-
-    wants_lifecycle = True
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
@@ -82,92 +78,91 @@ class TraceBuffer:
         return [e for e in self.events if e.kind == kind]
 
 
-class MetricsSink:
-    """Feeds a :class:`MetricsCollector` from the event stream.
+class Tracer:
+    """Records outcomes into collectors and dispatches events to sinks.
 
-    This replaces the runtime's former ad-hoc ``collector.record(...)``
-    calls: request/query outcomes, GPU busy time, and GPU-count samples
-    all derive from the same events every other exporter sees.
+    Args:
+        sinks: event consumers, each with ``emit(event)``.
+        invocation: collector for per-invocation outcomes, GPU busy time
+            and GPU-count samples.
+        query: collector for whole-query outcomes.
+
+    Every outcome reaches the collectors first, then the sinks in list
+    order.  ``enabled`` ("is anything attached?") and ``recording`` ("is
+    a sink attached?") are plain attributes fixed at construction: hot
+    call sites in ``Backend``/``Frontend`` gate per-request calls on them
+    so an idle tracer costs one attribute load + one branch.
     """
 
-    wants_lifecycle = False
+    __slots__ = ("_sinks", "invocation", "query", "enabled", "recording")
 
     def __init__(
-        self,
+        self, sinks: list[object] | tuple[object, ...] = (),
         invocation: MetricsCollector | None = None,
         query: MetricsCollector | None = None,
     ) -> None:
+        self._sinks = list(sinks)
         self.invocation = invocation
         self.query = query
+        self.recording = bool(self._sinks)
+        self.enabled = (
+            self.recording or invocation is not None or query is not None
+        )
 
     def emit(self, event: TraceEvent) -> None:
-        kind = event.kind
-        if kind == REQUEST_COMPLETED or kind == REQUEST_DROPPED:
-            if self.invocation is not None:
-                self.invocation.record(RequestRecord(
-                    request_id=event.request_id,
-                    session_id=event.session_id,
-                    arrival_ms=event.arrival_ms,
-                    deadline_ms=event.deadline_ms,
-                    completion_ms=(
-                        event.ts_ms if kind == REQUEST_COMPLETED else None
-                    ),
-                    dropped=kind == REQUEST_DROPPED,
-                ))
-        elif kind == BATCH_EXECUTED:
-            if self.invocation is not None:
-                self.invocation.record_gpu_busy(event.gpu_id, event.dur_ms)
-        elif kind == QUERY_COMPLETED:
-            if self.query is not None:
-                self.query.record(RequestRecord(
-                    request_id=event.request_id,
-                    session_id=event.session_id,
-                    arrival_ms=event.arrival_ms,
-                    deadline_ms=event.deadline_ms,
-                    completion_ms=event.ts_ms if event.ok else None,
-                    dropped=not event.ok,
-                ))
-        elif kind == PLAN_APPLIED:
-            count = (event.detail or {}).get("gpus", 0)
-            if self.invocation is not None:
-                self.invocation.sample_gpu_count(event.ts_ms, count)
+        for sink in self._sinks:
+            sink.emit(event)
 
-    # Typed fast path: semantically identical to ``emit`` on the matching
-    # TraceEvent, but callable without allocating one.  The Tracer uses
-    # these when every attached sink provides them and nothing records
-    # lifecycle events, which keeps metrics-only runs at pre-tracing cost.
+    # ------------------------------------------------------ outcome events
+    # Recorded into the collectors; an event is built only for sinks.
+    # Positional RequestRecord construction: these run once per request.
 
-    def fast_request_completed(
+    def request_completed(
         self, ts_ms: float, session_id: str, request_id: int,
         arrival_ms: float, deadline_ms: float, ok: bool,
-        gpu_id: int | None,
+        gpu_id: int | None = None,
     ) -> None:
-        # Positional RequestRecord construction: these two run once per
-        # simulated request.  Routed through record() so summary-mode
-        # collectors fold instead of retaining.
         if self.invocation is not None:
             self.invocation.record(RequestRecord(
                 request_id, session_id, arrival_ms, deadline_ms, ts_ms, False,
             ))
+        if self.recording:
+            self.emit(TraceEvent(
+                ts_ms, REQUEST_COMPLETED, gpu_id=gpu_id,
+                session_id=session_id, request_id=request_id,
+                arrival_ms=arrival_ms, deadline_ms=deadline_ms, ok=ok,
+            ))
 
-    def fast_request_dropped(
+    def request_dropped(
         self, ts_ms: float, session_id: str, request_id: int,
         arrival_ms: float, deadline_ms: float, reason: str,
-        gpu_id: int | None,
+        gpu_id: int | None = None,
     ) -> None:
         if self.invocation is not None:
             self.invocation.record(RequestRecord(
                 request_id, session_id, arrival_ms, deadline_ms, None, True,
             ))
+        if self.recording:
+            self.emit(TraceEvent(
+                ts_ms, REQUEST_DROPPED, gpu_id=gpu_id, session_id=session_id,
+                request_id=request_id, arrival_ms=arrival_ms,
+                deadline_ms=deadline_ms, ok=False, reason=reason,
+            ))
 
-    def fast_batch_executed(
+    def batch_executed(
         self, start_ms: float, dur_ms: float, gpu_id: int, session_id: str,
-        batch: int, deferred: bool,
+        batch: int, deferred: bool = False,
     ) -> None:
         if self.invocation is not None:
             self.invocation.record_gpu_busy(gpu_id, dur_ms)
+        if self.recording:
+            self.emit(TraceEvent(
+                start_ms, BATCH_EXECUTED, gpu_id=gpu_id,
+                session_id=session_id, dur_ms=dur_ms, batch=batch,
+                reason="deferred" if deferred else None,
+            ))
 
-    def fast_query_completed(
+    def query_completed(
         self, ts_ms: float, query_name: str, query_id: int,
         arrival_ms: float, deadline_ms: float, ok: bool,
     ) -> None:
@@ -176,150 +171,21 @@ class MetricsSink:
                 query_id, query_name, arrival_ms, deadline_ms,
                 ts_ms if ok else None, not ok,
             ))
+        if self.recording:
+            self.emit(TraceEvent(
+                ts_ms, QUERY_COMPLETED, session_id=query_name,
+                request_id=query_id, arrival_ms=arrival_ms,
+                deadline_ms=deadline_ms, ok=ok,
+            ))
 
-    def fast_plan_applied(self, ts_ms: float, gpus: int) -> None:
+    def plan_applied(self, ts_ms: float, gpus: int) -> None:
         if self.invocation is not None:
             self.invocation.sample_gpu_count(ts_ms, gpus)
-
-
-class Tracer:
-    """Dispatches typed events to sinks; a no-op without sinks.
-
-    ``enabled`` ("any sink listening?") and ``recording`` ("does anything
-    want the lifecycle stream?") are plain attributes, not properties:
-    hot call sites in ``Backend``/``Frontend`` gate per-request emits on
-    them so a disabled tracer costs one attribute load + one branch.
-    """
-
-    __slots__ = ("_sinks", "enabled", "recording", "_fast", "_frozen")
-
-    def __init__(
-        self, sinks: list[object] | tuple[object, ...] = (),
-        frozen: bool = False,
-    ) -> None:
-        self._sinks = list(sinks)
-        self._frozen = frozen
-        self._refresh()
-
-    def _refresh(self) -> None:
-        #: any sink listening at all?
-        self.enabled = bool(self._sinks)
-        #: is the full (lifecycle-inclusive) stream being consumed?
-        self.recording = any(
-            getattr(s, "wants_lifecycle", True) for s in self._sinks
-        )
-        # Outcome events skip TraceEvent allocation entirely when nothing
-        # records lifecycle and every sink speaks the typed fast protocol.
-        self._fast = self.enabled and not self.recording and all(
-            hasattr(s, "fast_request_completed") for s in self._sinks
-        )
-
-    # ---------------------------------------------------------- management
-
-    def add_sink(self, sink: object) -> None:
-        if self._frozen:
-            raise RuntimeError(
-                "cannot attach sinks to the shared NULL_TRACER; "
-                "construct a Tracer instead"
-            )
-        self._sinks.append(sink)
-        self._refresh()
-
-    def emit(self, event: TraceEvent) -> None:
-        for sink in self._sinks:
-            sink.emit(event)
-
-    # ------------------------------------------------------ outcome events
-    # Always emitted when any sink is attached: the metrics pipeline
-    # depends on them.
-
-    def request_completed(
-        self, ts_ms: float, session_id: str, request_id: int,
-        arrival_ms: float, deadline_ms: float, ok: bool,
-        gpu_id: int | None = None,
-    ) -> None:
-        if not self._sinks:
-            return
-        if self._fast:
-            for sink in self._sinks:
-                sink.fast_request_completed(
-                    ts_ms, session_id, request_id, arrival_ms, deadline_ms,
-                    ok, gpu_id)
-            return
-        self.emit(TraceEvent(
-            ts_ms, REQUEST_COMPLETED, gpu_id=gpu_id, session_id=session_id,
-            request_id=request_id, arrival_ms=arrival_ms,
-            deadline_ms=deadline_ms, ok=ok,
-        ))
-
-    def request_dropped(
-        self, ts_ms: float, session_id: str, request_id: int,
-        arrival_ms: float, deadline_ms: float, reason: str,
-        gpu_id: int | None = None,
-    ) -> None:
-        if not self._sinks:
-            return
-        if self._fast:
-            for sink in self._sinks:
-                sink.fast_request_dropped(
-                    ts_ms, session_id, request_id, arrival_ms, deadline_ms,
-                    reason, gpu_id)
-            return
-        self.emit(TraceEvent(
-            ts_ms, REQUEST_DROPPED, gpu_id=gpu_id, session_id=session_id,
-            request_id=request_id, arrival_ms=arrival_ms,
-            deadline_ms=deadline_ms, ok=False, reason=reason,
-        ))
-
-    def batch_executed(
-        self, start_ms: float, dur_ms: float, gpu_id: int, session_id: str,
-        batch: int, deferred: bool = False,
-    ) -> None:
-        if not self._sinks:
-            return
-        if self._fast:
-            for sink in self._sinks:
-                sink.fast_batch_executed(
-                    start_ms, dur_ms, gpu_id, session_id, batch, deferred)
-            return
-        self.emit(TraceEvent(
-            start_ms, BATCH_EXECUTED, gpu_id=gpu_id, session_id=session_id,
-            dur_ms=dur_ms, batch=batch,
-            reason="deferred" if deferred else None,
-        ))
-
-    def query_completed(
-        self, ts_ms: float, query_name: str, query_id: int,
-        arrival_ms: float, deadline_ms: float, ok: bool,
-    ) -> None:
-        if not self._sinks:
-            return
-        if self._fast:
-            for sink in self._sinks:
-                sink.fast_query_completed(
-                    ts_ms, query_name, query_id, arrival_ms, deadline_ms, ok)
-            return
-        self.emit(TraceEvent(
-            ts_ms, QUERY_COMPLETED, session_id=query_name,
-            request_id=query_id, arrival_ms=arrival_ms,
-            deadline_ms=deadline_ms, ok=ok,
-        ))
-
-    def plan_applied(self, ts_ms: float, gpus: int,
-                     detail: dict[str, object] | None = None) -> None:
-        if not self._sinks:
-            return
-        if self._fast:
-            for sink in self._sinks:
-                sink.fast_plan_applied(ts_ms, gpus)
-            return
-        info: dict[str, object] = {"gpus": gpus}
-        if detail:
-            info.update(detail)
-        self.emit(TraceEvent(ts_ms, PLAN_APPLIED, detail=info))
+        if self.recording:
+            self.emit(TraceEvent(ts_ms, PLAN_APPLIED, detail={"gpus": gpus}))
 
     # ---------------------------------------------------- lifecycle events
-    # Skipped without allocation unless a recording sink wants them.
+    # Skipped without allocation unless a sink is attached.
 
     def request_admitted(
         self, ts_ms: float, session_id: str, request_id: int,
@@ -454,74 +320,8 @@ class Tracer:
         ))
 
 
-class NullTracer(Tracer):
-    """A tracer that is statically known to do nothing.
-
-    The base class with no sinks already returns after one predicate; this
-    subclass additionally stubs the per-request outcome emits
-    (``request_completed``, ``request_dropped``, ``batch_executed``,
-    ``query_completed``) so the hottest calls skip even the gate logic,
-    and documents intent at construction sites: pass ``NullTracer()`` (or
-    the shared :data:`NULL_TRACER`) to run a cluster with tracing
-    compiled out -- identical outcomes, zero :class:`TraceEvent`\\ s.
-
-    Sinks can never be attached (``add_sink`` raises), so ``enabled`` /
-    ``recording`` stay ``False`` for the object's lifetime and call-site
-    gates may be hoisted out of loops.
-    """
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__(frozen=True)
-
-    def add_sink(self, sink: object) -> None:
-        raise RuntimeError(
-            "cannot attach sinks to a NullTracer; construct a Tracer instead"
-        )
-
-    def emit(self, event: TraceEvent) -> None:
-        pass
-
-    def request_completed(
-        self, ts_ms: float, session_id: str, request_id: int,
-        arrival_ms: float, deadline_ms: float, ok: bool,
-        gpu_id: int | None = None,
-    ) -> None:
-        pass
-
-    def request_dropped(
-        self, ts_ms: float, session_id: str, request_id: int,
-        arrival_ms: float, deadline_ms: float, reason: str,
-        gpu_id: int | None = None,
-    ) -> None:
-        pass
-
-    def batch_executed(
-        self, start_ms: float, dur_ms: float, gpu_id: int, session_id: str,
-        batch: int, deferred: bool = False,
-    ) -> None:
-        pass
-
-    def query_completed(
-        self, ts_ms: float, query_name: str, query_id: int,
-        arrival_ms: float, deadline_ms: float, ok: bool,
-    ) -> None:
-        pass
-
-
 #: the shared do-nothing tracer: default for standalone components.
-NULL_TRACER: Tracer = NullTracer()
-
-
-def tracer_for_collector(
-    invocation: MetricsCollector | None = None,
-    query: MetricsCollector | None = None,
-) -> Tracer:
-    """A tracer that only feeds collectors (the legacy default path)."""
-    if invocation is None and query is None:
-        return NULL_TRACER
-    return Tracer([MetricsSink(invocation=invocation, query=query)])
+NULL_TRACER: Tracer = Tracer()
 
 
 # ------------------------------------------------- ambient capture (CLI)

@@ -3,7 +3,7 @@
 Extracted from ``NexusCluster.run()``'s inline wiring so the
 discrete-event simulator became *one of two* drivers instead of the only
 one.  The core owns everything a deployment needs at serve time --
-routing table, metrics collectors, tracer fan-out, backend pool,
+routing table, metrics collectors, the tracer that feeds them, backend pool,
 frontend replicas -- plus the control-loop machinery (epoch cadence
 timers and the heartbeat/lease failure detector) that used to live in
 ``tick()``/``on_failure()`` closures inside :mod:`repro.cluster.nexus`.
@@ -71,7 +71,8 @@ class RuntimeCore:
         retry_policy: frontend behavior for requests lost to backend
             failures.
         trace: record the full structured event stream into
-            :attr:`trace_buffer` (otherwise metrics-only).
+            :attr:`trace_buffer` (otherwise the tracer only records
+            outcomes into the two collectors).
         summary_metrics: metrics collectors fold each outcome into
             counters, per-session stats and a latency histogram at record
             time instead of retaining per-request records.  The live
@@ -98,12 +99,7 @@ class RuntimeCore:
         from ..cluster.frontend import Frontend, RetryPolicy, RoutingTable
         from ..cluster.global_scheduler import BackendPool, PoolConfig
         from ..metrics.collector import MetricsCollector
-        from ..observability.tracer import (
-            MetricsSink,
-            TraceBuffer,
-            Tracer,
-            active_trace_buffer,
-        )
+        from ..observability.tracer import TraceBuffer, Tracer, active_trace_buffer
 
         self.events = events
         self.routing: "RoutingTable" = RoutingTable()
@@ -119,20 +115,19 @@ class RuntimeCore:
             keep_records=keep
         )
 
-        # One tracer serves the whole deployment: the metrics collectors
-        # are sinks on the same event stream the exporters consume.
-        sinks: list[object] = [
-            MetricsSink(
-                invocation=self.invocation_metrics, query=self.query_metrics
-            )
-        ]
+        # One tracer serves the whole deployment: it records every outcome
+        # into the two collectors, then hands the event to the sinks the
+        # exporters read.
+        sinks: list[object] = []
         self.trace_buffer: "TraceBuffer | None" = TraceBuffer() if trace else None
         if self.trace_buffer is not None:
             sinks.append(self.trace_buffer)
         ambient = active_trace_buffer()
         if ambient is not None:
             sinks.append(ambient)
-        self.tracer: "Tracer" = Tracer(sinks)
+        self.tracer: "Tracer" = Tracer(
+            sinks, invocation=self.invocation_metrics, query=self.query_metrics
+        )
         attach = getattr(events, "attach_tracer", None)
         if attach is not None:  # only the simulator records run windows
             attach(self.tracer)
@@ -140,7 +135,6 @@ class RuntimeCore:
         self.pool: "BackendPool" = BackendPool(
             events,
             self.routing,
-            collector=self.invocation_metrics,
             tracer=self.tracer,
             config=pool_config or PoolConfig(),
         )
@@ -148,7 +142,6 @@ class RuntimeCore:
             Frontend(
                 events,
                 self.routing,
-                query_collector=self.query_metrics,
                 seed=seed + 1009 * i,
                 tracer=self.tracer,
                 retry_policy=retry_policy or RetryPolicy(),

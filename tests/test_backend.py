@@ -11,6 +11,7 @@ from repro.cluster.messages import Request
 from repro.core.drop import EarlyDropPolicy, LazyDropPolicy
 from repro.core.profile import LinearProfile
 from repro.metrics.collector import MetricsCollector
+from repro.observability import Tracer
 from repro.simulation.simulator import Simulator
 
 
@@ -27,7 +28,9 @@ def spec(session_id="s", alpha=1.0, beta=5.0, slo=100.0, batch=8,
 def make_backend(sim=None, **kw):
     sim = sim or Simulator()
     collector = MetricsCollector()
-    return sim, collector, Backend(sim, collector=collector, **kw)
+    return sim, collector, Backend(
+        sim, tracer=Tracer(invocation=collector), **kw
+    )
 
 
 def submit(sim, backend, session_id, at_ms, slo=100.0, results=None):
@@ -235,7 +238,8 @@ class TestDeferredExecution:
     def _run(self, defer):
         sim = Simulator()
         collector = MetricsCollector()
-        backend = Backend(sim, collector=collector, defer_missed=defer)
+        backend = Backend(sim, tracer=Tracer(invocation=collector),
+                          defer_missed=defer)
         # beta large so a burst cannot all meet the tight SLO.
         backend.set_schedule([spec("a", alpha=1.0, beta=30.0, slo=40.0,
                                    batch=2, duty=0.0)])
@@ -257,7 +261,8 @@ class TestDeferredExecution:
     def test_defer_does_not_starve_live_traffic(self):
         sim = Simulator()
         collector = MetricsCollector()
-        backend = Backend(sim, collector=collector, defer_missed=True)
+        backend = Backend(sim, tracer=Tracer(invocation=collector),
+                          defer_missed=True)
         backend.set_schedule([spec("a", alpha=1.0, beta=30.0, slo=40.0,
                                    batch=2, duty=0.0)])
         # A hopeless early burst, then well-spaced live traffic.
@@ -306,7 +311,8 @@ class TestExecutionTrace:
     def test_deferred_spans_flagged(self):
         sim = Simulator()
         coll = MetricsCollector()
-        backend = Backend(sim, collector=coll, defer_missed=True)
+        backend = Backend(sim, tracer=Tracer(invocation=coll),
+                          defer_missed=True)
         backend.trace_enabled = True
         backend.set_schedule([spec("a", alpha=1.0, beta=30.0, slo=40.0,
                                    batch=2, duty=0.0)])

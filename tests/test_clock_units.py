@@ -27,7 +27,6 @@ from repro.cluster.frontend import RoutingTable
 from repro.cluster.global_scheduler import BackendPool, HeartbeatMonitor
 from repro.cluster.messages import Request
 from repro.core.profile import LinearProfile
-from repro.metrics.collector import MetricsCollector
 from repro.simulation.simulator import Simulator
 
 
@@ -39,7 +38,7 @@ class TestHeartbeatLeaseBoundary:
 
     def _monitor(self, sim):
         routing = RoutingTable()
-        pool = BackendPool(sim, routing, collector=MetricsCollector())
+        pool = BackendPool(sim, routing)
         pool.backends.append(Backend(sim, gpu_id=0))
         declared = []
         monitor = HeartbeatMonitor(

@@ -9,6 +9,7 @@ from repro.cluster.faults import FaultPlan
 from repro.cluster.nexus import (
     AppSpec,
     ClusterConfig,
+    ClusterResult,
     NexusCluster,
     equivalence_report,
 )
@@ -43,8 +44,9 @@ def game_cluster(dynamic: bool = False) -> NexusCluster:
     return cluster
 
 
-def three_app_cluster() -> NexusCluster:
-    cfg = ClusterConfig(device="gtx1080ti", max_gpus=48, epoch_ms=3_000.0)
+def three_app_cluster(summary_metrics: bool = False) -> NexusCluster:
+    cfg = ClusterConfig(device="gtx1080ti", max_gpus=48, epoch_ms=3_000.0,
+                        summary_metrics=summary_metrics)
     cluster = NexusCluster(cfg)
     cluster.add_query(traffic_query(cfg.device), rate_rps=300.0)
     cluster.add_query(dance_query(cfg.device), rate_rps=250.0)
@@ -52,23 +54,27 @@ def three_app_cluster() -> NexusCluster:
     return cluster
 
 
-def run_static_warmup():
-    return simple_cluster(rate=80.0).run(8_000.0, warmup_ms=1_000.0)
+# The scenario runners pass ``run_kw`` (e.g. ``trace=True``) through to
+# NexusCluster.run.
+def run_static_warmup(**run_kw):
+    return simple_cluster(rate=80.0).run(8_000.0, warmup_ms=1_000.0, **run_kw)
 
 
-def run_prefix_fused():
-    return game_cluster().run(6_000.0)
+def run_prefix_fused(**run_kw):
+    return game_cluster().run(6_000.0, **run_kw)
 
 
-def run_dynamic_replanning():
-    return game_cluster(dynamic=True).run(8_000.0)
+def run_dynamic_replanning(**run_kw):
+    return game_cluster(dynamic=True).run(8_000.0, **run_kw)
 
 
-def run_crash_and_recovery():
+def run_crash_and_recovery(summary_metrics=False, **run_kw):
     faults = FaultPlan()
     faults.crash(2_500.0, 1)
     faults.crash(4_000.0, 0, recover_after_ms=3_000.0)
-    return three_app_cluster().run(10_000.0, faults=faults)
+    return three_app_cluster(summary_metrics).run(
+        10_000.0, faults=faults, **run_kw
+    )
 
 
 class TestPlanning:
@@ -163,6 +169,27 @@ class TestServing:
         a, b = scenario(), scenario()
         assert did_work(a)
         assert equivalence_report(a) == equivalence_report(b)
+
+    def test_equivalence_report_sees_summary_latencies(self):
+        """Summary-mode collectors retain no records; the digest still
+        tells apart two runs whose counters match but latencies differ."""
+        from repro.core.squishy import SchedulePlan
+        from repro.metrics.collector import MetricsCollector, RequestRecord
+
+        def result(latency_ms):
+            folded = MetricsCollector(keep_records=False)
+            folded.record(RequestRecord(1, "s", 0.0, 100.0, latency_ms))
+            return ClusterResult(
+                query_metrics=folded,
+                invocation_metrics=MetricsCollector(keep_records=False),
+                plan=SchedulePlan(gpus=[]), gpus_used=0, duration_ms=100.0,
+            )
+
+        fast, slow = result(10.0), result(50.0)
+        assert (fast.query_metrics.per_session_stats()
+                == slow.query_metrics.per_session_stats())
+        assert equivalence_report(fast) != equivalence_report(slow)
+        assert equivalence_report(fast) == equivalence_report(result(10.0))
 
     def test_epoch_count_resets_between_runs(self):
         cluster = simple_cluster(rate=80.0, dynamic=True, epoch_ms=1_000.0)

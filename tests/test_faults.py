@@ -51,7 +51,9 @@ def spec(session_id="s", alpha=1.0, beta=5.0, slo=100.0, batch=8,
 def make_backend(sim=None, **kw):
     sim = sim or Simulator()
     collector = MetricsCollector()
-    return sim, collector, Backend(sim, collector=collector, **kw)
+    return sim, collector, Backend(
+        sim, tracer=Tracer(invocation=collector), **kw
+    )
 
 
 def submit(sim, backend, session_id, at_ms, slo=100.0,
@@ -178,11 +180,7 @@ class TestBackendCrash:
 
 class TestFrontendRetry:
     def _cluster(self, sim, n_backends=2, policy=None, tracer=None):
-        collector = MetricsCollector()
-        backends = [
-            Backend(sim, gpu_id=i, collector=collector)
-            for i in range(n_backends)
-        ]
+        backends = [Backend(sim, gpu_id=i) for i in range(n_backends)]
         for b in backends:
             b.set_schedule([spec()])
         routing = RoutingTable()
@@ -266,7 +264,7 @@ class TestFrontendRetry:
 class TestHeartbeatMonitor:
     def _pool(self, sim, n=2):
         routing = RoutingTable()
-        pool = BackendPool(sim, routing, collector=MetricsCollector())
+        pool = BackendPool(sim, routing)
         pool.backends.extend(Backend(sim, gpu_id=i) for i in range(n))
         return pool
 

@@ -7,6 +7,7 @@ from repro.cluster.frontend import Frontend, RoutingTable
 from repro.core.profile import LinearProfile
 from repro.core.query import Query, QueryStage
 from repro.metrics.collector import MetricsCollector
+from repro.observability import TraceBuffer, Tracer, drop_reasons
 from repro.simulation.simulator import Simulator
 
 
@@ -80,6 +81,23 @@ class TestSingleRequests:
         assert dropped == [0.0]
         assert frontend.routing_failures == 1
 
+    def test_unroutable_drops_reach_collector_and_stream(self):
+        """Both unroutable paths -- a single request and a query stage --
+        record an ``unroutable`` drop, not just a ``route.failed``."""
+        sim = Simulator()
+        collector = MetricsCollector()
+        buffer = TraceBuffer()
+        frontend = Frontend(sim, RoutingTable(),
+                            tracer=Tracer([buffer], invocation=collector))
+        assert not frontend.submit_request("ghost", 100.0)
+        assert drop_reasons(buffer.events) == {"unroutable": 1}
+        assert collector.dropped_count == 1
+
+        frontend.submit_query(two_stage_query())
+        assert drop_reasons(buffer.events) == {"unroutable": 2}
+        assert collector.dropped_count == 2
+        assert frontend.routing_failures == 2
+
     def test_counters_accumulate_and_reset(self):
         sim = Simulator()
         backend = make_backend(sim, ["m"])
@@ -108,7 +126,7 @@ class TestQueryOrchestration:
         table.set_routes("app/det", [(backend, 1.0)])
         table.set_routes("app/rec", [(backend, 1.0)])
         collector = MetricsCollector()
-        frontend = Frontend(sim, table, query_collector=collector, seed=1)
+        frontend = Frontend(sim, table, tracer=Tracer(query=collector), seed=1)
         return sim, frontend, collector
 
     def test_query_completes_with_children(self):
@@ -148,7 +166,7 @@ class TestQueryOrchestration:
         table = RoutingTable()
         table.set_routes("app/det", [(backend, 1.0)])
         collector = MetricsCollector()
-        frontend = Frontend(sim, table, query_collector=collector)
+        frontend = Frontend(sim, table, tracer=Tracer(query=collector))
         sim.schedule(0.0, lambda: frontend.submit_query(two_stage_query(1.0)))
         sim.run()
         assert collector.total == 1
@@ -184,7 +202,7 @@ class TestQueryOrchestration:
         table.set_routes("g/x", [(backend, 1.0)])
         table.set_routes("g/y", [(backend, 1.0)])
         collector = MetricsCollector()
-        frontend = Frontend(sim, table, query_collector=collector)
+        frontend = Frontend(sim, table, tracer=Tracer(query=collector))
 
         p = LinearProfile(name="p", alpha=0.5, beta=1.0, max_batch=32)
         root = QueryStage("src", None)

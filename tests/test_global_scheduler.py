@@ -9,6 +9,7 @@ from repro.core.profile import LinearProfile
 from repro.core.session import Session, SessionLoad
 from repro.core.squishy import Allocation, GpuPlan, SchedulePlan
 from repro.metrics.collector import MetricsCollector
+from repro.observability import Tracer
 from repro.simulation.simulator import Simulator
 
 
@@ -31,7 +32,7 @@ def make_plan(session_specs):
 def make_pool():
     sim = Simulator()
     routing = RoutingTable()
-    pool = BackendPool(sim, routing, collector=MetricsCollector())
+    pool = BackendPool(sim, routing, tracer=Tracer(invocation=MetricsCollector()))
     return sim, routing, pool
 
 
@@ -128,4 +129,4 @@ class TestApplyPlan:
     def test_gpu_count_sampled(self):
         sim, routing, pool = make_pool()
         pool.apply_plan(make_plan([[("a", 200.0, 50.0, 8)]]))
-        assert pool.collector._gpu_count_samples[-1] == (0.0, 1)
+        assert pool.tracer.invocation._gpu_count_samples[-1] == (0.0, 1)

@@ -6,11 +6,12 @@ import json
 
 import pytest
 
+import repro.observability.tracer as tracer_module
 from repro.cluster.backend import Backend, BackendSession
 from repro.cluster.frontend import Frontend, RoutingTable
 from repro.cluster.global_scheduler import BackendPool
 from repro.cluster.messages import Request
-from repro.cluster.nexus import ClusterConfig, NexusCluster
+from repro.cluster.nexus import ClusterConfig, NexusCluster, equivalence_report
 from repro.core import Session, SessionLoad, squishy_bin_packing
 from repro.core.profile import LinearProfile
 from repro.metrics.collector import MetricsCollector
@@ -26,7 +27,6 @@ from repro.observability import (
     SESSION_PLACED,
     SESSION_RELOCATED,
     SESSION_REMOVED,
-    MetricsSink,
     TraceBuffer,
     Tracer,
     batch_size_histogram,
@@ -42,6 +42,12 @@ from repro.observability import (
 )
 from repro.simulation.simulator import Simulator
 from repro.workloads.apps import traffic_query
+from tests.test_cluster_integration import (
+    run_crash_and_recovery,
+    run_dynamic_replanning,
+    run_prefix_fused,
+    run_static_warmup,
+)
 
 
 def spec(session_id="s", alpha=1.0, beta=5.0, slo=100.0, batch=8,
@@ -56,8 +62,8 @@ def traced_backend(**kw):
     sim = Simulator()
     collector = MetricsCollector()
     buffer = TraceBuffer()
-    tracer = Tracer([MetricsSink(invocation=collector), buffer])
-    backend = Backend(sim, collector=collector, tracer=tracer, **kw)
+    tracer = Tracer([buffer], invocation=collector)
+    backend = Backend(sim, tracer=tracer, **kw)
     return sim, collector, buffer, backend
 
 
@@ -123,8 +129,8 @@ class TestEventEmission:
         assert drop_reasons(buffer.events) == {"unscheduled": 1}
 
     def test_collector_fed_through_event_stream(self):
-        """The collector's numbers derive from the same events the
-        buffer records -- no separate bookkeeping path."""
+        """The collector records exactly the outcomes the buffer sees:
+        one tracer call feeds both."""
         sim, coll, buffer, backend = traced_backend()
         backend.set_schedule([spec()])
         for t in range(0, 100, 5):
@@ -142,9 +148,8 @@ class TestEventEmission:
         routing = RoutingTable()
         qcoll = MetricsCollector()
         buffer = TraceBuffer()
-        tracer = Tracer([MetricsSink(query=qcoll), buffer])
-        frontend = Frontend(sim, routing, query_collector=qcoll,
-                            tracer=tracer)
+        tracer = Tracer([buffer], query=qcoll)
+        frontend = Frontend(sim, routing, tracer=tracer)
         # No routes installed: the query fails immediately via route.failed.
         query = traffic_query("gtx1080ti", slo_ms=400.0)
         frontend.submit_query(query)
@@ -155,27 +160,23 @@ class TestEventEmission:
         assert qcoll.total == 1 and qcoll.dropped_count == 1
 
 
-class TestNullTracer:
+class TestTracerStates:
     def test_null_tracer_is_default_without_collector(self):
         backend = Backend(Simulator())
         assert backend.tracer is NULL_TRACER
         assert not backend.tracer.enabled
         assert not backend.tracer.recording
 
-    def test_null_tracer_rejects_sinks(self):
-        with pytest.raises(RuntimeError):
-            NULL_TRACER.add_sink(TraceBuffer())
-
     def test_null_tracer_run_matches_traced_run(self):
-        """Tracing must be observation only: the same workload under a
-        NullTracer and under a full recording tracer produces identical
-        per-request outcomes, while the NullTracer run materializes zero
+        """Tracing must be observation only: the same workload under the
+        NULL_TRACER and under a full recording tracer produces identical
+        per-request outcomes, while the NULL_TRACER run materializes zero
         TraceEvents and records nothing."""
         import random
 
-        def drive(tracer, collector):
+        def drive(tracer):
             sim = Simulator()
-            backend = Backend(sim, collector=collector, tracer=tracer)
+            backend = Backend(sim, tracer=tracer)
             backend.set_schedule([spec("a", batch=4, duty=40.0),
                                   spec("b", beta=12.0, batch=4, duty=60.0)])
             outcomes = []
@@ -204,33 +205,37 @@ class TestNullTracer:
 
         buffer = TraceBuffer()
         traced_coll = MetricsCollector()
-        traced = Tracer([MetricsSink(invocation=traced_coll), buffer])
-        traced_outcomes, traced_batches = drive(traced, traced_coll)
+        traced = Tracer([buffer], invocation=traced_coll)
+        traced_outcomes, traced_batches = drive(traced)
 
-        null_coll = MetricsCollector()
-        null_outcomes, null_batches = drive(NULL_TRACER, null_coll)
+        null_outcomes, null_batches = drive(NULL_TRACER)
 
         assert null_outcomes == traced_outcomes
         assert null_batches == traced_batches
         assert any(o[0] == "done" for o in traced_outcomes)
         assert any(o[0] == "drop" for o in traced_outcomes)
-        # The traced run captured the stream; the NullTracer run fed
-        # nothing anywhere -- no events, no metrics records.
+        # The traced run captured the stream; the NULL_TRACER run has no
+        # collector and no sink to feed.
         assert buffer.by_kind(REQUEST_COMPLETED)
         assert len(traced_coll.records) == len(traced_outcomes)
-        assert null_coll.records == []
+        assert NULL_TRACER.invocation is None and NULL_TRACER.query is None
 
-    def test_lifecycle_skipped_without_recording_sink(self):
-        """Metrics-only tracers never materialize lifecycle events."""
+    def test_lifecycle_skipped_without_recording_sink(self, monkeypatch):
+        """A collectors-only tracer never materializes an event: the
+        collector is fed, no TraceEvent is built."""
+        built = []
+        monkeypatch.setattr(tracer_module, "TraceEvent",
+                            lambda *args, **kw: built.append(args))
         coll = MetricsCollector()
-        tracer = Tracer([MetricsSink(invocation=coll)])
+        tracer = Tracer(invocation=coll)
         assert tracer.enabled and not tracer.recording
-        sim, _c, _b, backend = traced_backend()
-        # Sanity: a recording tracer does materialize them.
+        sim = Simulator()
+        backend = Backend(sim, tracer=tracer)
         backend.set_schedule([spec()])
         submit(sim, backend, "s", 1.0)
         sim.run()
-        assert _b.by_kind(REQUEST_ADMITTED)
+        assert coll.total == 1 and coll.gpu_busy_ms
+        assert built == []
 
 
 class TestPoolPlacementEvents:
@@ -239,8 +244,8 @@ class TestPoolPlacementEvents:
         routing = RoutingTable()
         coll = MetricsCollector()
         buffer = TraceBuffer()
-        tracer = Tracer([MetricsSink(invocation=coll), buffer])
-        pool = BackendPool(sim, routing, collector=coll, tracer=tracer)
+        tracer = Tracer([buffer], invocation=coll)
+        pool = BackendPool(sim, routing, tracer=tracer)
         return sim, pool, buffer
 
     @staticmethod
@@ -416,17 +421,34 @@ class TestAmbientCapture:
         assert res.trace is None
 
 
-class TestDeterminismWithTracing:
-    def test_tracing_does_not_change_results(self):
-        def run(trace):
-            cfg = ClusterConfig(device="gtx1080ti", max_gpus=4, seed=7)
-            cluster = NexusCluster(cfg)
-            cluster.add_query(traffic_query(cfg.device, slo_ms=400.0),
-                              rate_rps=80.0)
-            return cluster.run(4_000.0, 500.0, trace=trace)
+def _summary_crash_and_recovery(**run_kw):
+    return run_crash_and_recovery(summary_metrics=True, **run_kw)
 
-        plain, traced = run(False), run(True)
-        assert plain.good_rate == traced.good_rate
-        assert plain.query_metrics.total == traced.query_metrics.total
-        assert (plain.invocation_metrics.gpu_busy_ms
-                == traced.invocation_metrics.gpu_busy_ms)
+
+class TestDeterminismWithTracing:
+    @pytest.mark.parametrize("scenario", [
+        pytest.param(run_static_warmup, id="static-warmup"),
+        pytest.param(run_prefix_fused, id="prefix-fused"),
+        pytest.param(run_dynamic_replanning, id="dynamic-replanning"),
+        pytest.param(run_crash_and_recovery, id="crash-recovery"),
+        pytest.param(_summary_crash_and_recovery,
+                     id="crash-recovery-summary"),
+    ])
+    def test_tracing_does_not_change_results(self, scenario):
+        """Tracing is observation only: with it off, with a run's own
+        buffer, and under an ambient capture, the whole run digests the
+        same and the GPU-count timeline is identical."""
+
+        def digest(result):
+            series = result.invocation_metrics.gpu_count_series(
+                500.0, result.duration_ms
+            )
+            return equivalence_report(result), series.points()
+
+        plain = scenario()
+        traced = scenario(trace=True)
+        with capture_trace() as buffer:
+            captured = scenario()
+        assert traced.trace and buffer.events
+        assert plain.trace is None and captured.trace is None
+        assert digest(plain) == digest(traced) == digest(captured)
