@@ -20,12 +20,15 @@ incremental policy this module implements:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .fleet import Fleet
 from .floatcmp import approx_zero
+from .profile import BatchingProfile
 from .queueing import QueueEstimate, capacity_answer
-from .session import SessionLoad
+from .session import Session, SessionLoad
 from .squishy import (
     Allocation,
     GpuPlan,
@@ -37,6 +40,35 @@ from .squishy import (
 )
 
 __all__ = ["EpochUpdate", "EpochScheduler"]
+
+#: What the walk remembers about one plan node, by identity: the node
+#: itself (holding it pins ``id(node)``), its sort key, its session ids
+#: and its ``(session id, rate)`` pairs in allocation order.
+_NodeMemo = tuple[
+    GpuPlan, tuple[float, int], tuple[str, ...], tuple[tuple[str, float], ...]
+]
+
+_SORT_KEY = operator.itemgetter(1)
+
+
+def _remember(node: GpuPlan) -> _NodeMemo:
+    pairs = tuple((a.session_id, a.load.rate_rps) for a in node.allocations)
+    return (
+        node, (-node.occupancy, node.node_id),
+        tuple(sid for sid, _ in pairs), pairs,
+    )
+
+
+class _Walk(NamedTuple):
+    """One walk over the previous plan, and what it changed."""
+
+    plan: SchedulePlan
+    #: memos of the nodes carried over as the same object, in walk order
+    reused: list[_NodeMemo]
+    #: previous-plan nodes rebuilt or released
+    dropped: list[GpuPlan]
+    #: new nodes: rebuilt ones and the repack of uncovered demand
+    added: list[GpuPlan]
 
 
 @dataclass
@@ -109,6 +141,24 @@ class EpochScheduler:
     _last_schedule_ms: float = -math.inf
     _last_rates: dict[str, float] = field(default_factory=dict)
 
+    # What the last walk emitted, so the next one can skip what it did not
+    # touch (see _incremental_plan).  None of it holds a node that is not
+    # in the emitted plan.
+    #: the emitted plan's nodes, to notice a plan replaced outside the walk
+    _emitted: list[GpuPlan] = field(default_factory=list, repr=False)
+    #: settled nodes -- those the last walk carried over -- by ``id``
+    _settled: dict[int, _NodeMemo] = field(default_factory=dict, repr=False)
+    #: sessions the last walk left unstable (membership tests only)
+    _unstable: set[str] = field(default_factory=set, repr=False)
+    #: (rate, profile, session) each session had when the last walk ran
+    _inputs: dict[str, tuple[float, BatchingProfile, Session]] = field(
+        default_factory=dict, repr=False
+    )
+    #: session -> node ids hosting it in the emitted plan
+    _hosts: dict[str, list[int]] = field(default_factory=dict, repr=False)
+    #: the memory bounds the settled nodes were validated under
+    _validated_under: tuple[int | None, Fleet | None] = (None, None)
+
     # ------------------------------------------------------------- triggers
 
     def should_reschedule(self, now_ms: float, loads: list[SessionLoad]) -> bool:
@@ -143,11 +193,44 @@ class EpochScheduler:
         unconditionally at epoch boundaries); it records and returns the
         churn summary either way.
         """
-        before = self.plan.num_gpus
-        before_assignment = self._assignment()
+        gpus = self.plan.gpus
+        before = len(gpus)
+        emitted = self._emitted
+        if len(emitted) != before or not all(map(operator.is_, gpus, emitted)):
+            self._forget_replaced(gpus)
+        basis = (self.memory_capacity, self.fleet)
+        if basis != self._validated_under:
+            self._settled.clear()
+            self._validated_under = basis
 
-        new_plan = self._incremental_plan(loads)
-        if self.max_gpus is not None and new_plan.num_gpus > self.max_gpus:
+        # One pass over the loads: the walk's inputs, the new rates, and
+        # the sessions whose load differs from what the last walk saw.
+        last = self._inputs
+        inputs: dict[str, tuple[float, BatchingProfile, Session]] = {}
+        by_id: dict[str, SessionLoad] = {}
+        rates: dict[str, float] = {}
+        dirty = set(self._unstable)
+        for load in loads:
+            session = load.session
+            sid = session.session_id
+            rate = load.rate_rps
+            profile = load.profile
+            by_id[sid] = load
+            rates[sid] = rate
+            seen = last.get(sid)
+            if (
+                seen is None or seen[0] != rate or seen[1] is not profile
+                or (seen[2] is not session and seen[2] != session)
+            ):
+                seen = (rate, profile, session)
+                dirty.add(sid)
+            inputs[sid] = seen
+        dirty |= last.keys() - inputs.keys()  # retired sessions
+
+        walk = self._incremental_plan(by_id, dict(rates), self._settled, dirty)
+        new_plan = walk.plan
+        capped = self.max_gpus is not None and new_plan.num_gpus > self.max_gpus
+        if capped:
             new_plan = self._capped_plan(loads)
         if self.validate:
             # Imported lazily: repro.analysis depends on core.squishy, so a
@@ -157,16 +240,35 @@ class EpochScheduler:
 
             assert_valid_plan(
                 new_plan, memory_capacity=self.memory_capacity,
-                fleet=self.fleet,
+                max_gpus=self.max_gpus, fleet=self.fleet,
             )
-        prev_nodes = {id(n) for n in self.plan.gpus}
-        reused = sum(1 for n in new_plan.gpus if id(n) in prev_nodes)
-        self.plan = new_plan
 
-        moved = self._count_moves(before_assignment, self._assignment())
+        if capped:
+            # The capped plan comes from probe walks over scaled loads:
+            # settle nothing, so the next epoch walks every node in full.
+            kept = {id(n) for n in gpus}
+            reused = sum(1 for n in new_plan.gpus if id(n) in kept)
+            moved = self._count_moves(gpus, new_plan.gpus)
+            self._settled.clear()
+            self._unstable = set()
+        else:
+            reused = len(walk.reused)
+            moved = self._count_moves(walk.dropped, walk.added)
+            settled = self._settled
+            unstable: set[str] = set()
+            for node in walk.dropped:
+                settled.pop(id(node), None)
+                unstable.update(a.session_id for a in node.allocations)
+            for memo in walk.reused:
+                settled[id(memo[0])] = memo
+            self._unstable = unstable
+        self.plan = new_plan
+        self._emitted = list(new_plan.gpus)
+        self._inputs = inputs
+
         self._epoch += 1
         self._last_schedule_ms = now_ms
-        self._last_rates = {l.session_id: l.rate_rps for l in loads}
+        self._last_rates = rates
         update = EpochUpdate(
             epoch=self._epoch,
             time_ms=now_ms,
@@ -179,21 +281,49 @@ class EpochScheduler:
         self.updates.append(update)
         return update
 
-    def _incremental_plan(self, loads: list[SessionLoad]) -> SchedulePlan:
-        """Keep feasible nodes; evict/repack only what must change."""
-        by_id = {l.session_id: l for l in loads}
-        demand = {l.session_id: l.rate_rps for l in loads}
+    def _incremental_plan(
+        self, by_id: dict[str, SessionLoad], demand: dict[str, float],
+        settled: dict[int, _NodeMemo], dirty: set[str],
+    ) -> _Walk:
+        """Keep feasible nodes; evict/repack only what must change.
 
+        ``by_id`` and ``demand`` map each session to its load and rate;
+        the walk consumes ``demand`` and grows ``dirty``.  A node is
+        *skipped* -- carried over with no further check -- when it is in
+        ``settled`` (the last walk carried it over as the same object) and
+        hosts no session in ``dirty``.  ``dirty`` starts as the sessions
+        whose load changed since the last walk plus the unstable ones
+        (the last walk rebuilt or released a node hosting them, or a
+        settled node hosting them has since left the plan), and every
+        node the walk does not skip adds its sessions; nodes the last walk
+        created are not settled, so they never hide behind a skip.  A
+        skipped node's
+        sessions therefore met the same nodes, in the same order, taking
+        the same rates as last epoch, and the full check below would reuse
+        the node too; the skip applies the same ``taken`` arithmetic to
+        ``demand``.  Probe walks pass an empty ``settled``.
+        """
         kept: list[GpuPlan] = []
         evicted: list[str] = []
+        reused: list[_NodeMemo] = []
+        dropped: list[GpuPlan] = []
+        added: list[GpuPlan] = []
 
+        order = [settled.get(id(n)) or _remember(n) for n in self.plan.gpus]
         # Walk existing nodes from most- to least-utilized so that, when
         # demand shrinks, the least-utilized backends are the ones drained
         # (section 6.1: "the scheduler attempts to move sessions from the
         # least utilized backends to other backends").
-        for node in sorted(
-            self.plan.gpus, key=lambda n: (-n.occupancy, n.node_id)
-        ):
+        order.sort(key=_SORT_KEY)
+        for memo in order:
+            node, _, sids, pairs = memo
+            if id(node) in settled and dirty.isdisjoint(sids):
+                for sid, rate in pairs:
+                    demand[sid] -= rate
+                kept.append(node)
+                reused.append(memo)
+                continue
+            dirty.update(sids)
             # Fast path: when every allocation on this node would take
             # exactly its current rate again, the rebuild below reproduces
             # the node verbatim (same loads, batches, duty cycle), so the
@@ -232,8 +362,10 @@ class EpochScheduler:
             if reuse and not node.validate(self._node_memory(node)):
                 demand.update(taken)
                 kept.append(node)
+                reused.append(_remember(node))
                 continue
 
+            dropped.append(node)
             new_allocs: list[Allocation] = []
             for alloc in node.allocations:
                 sid = alloc.session_id
@@ -281,6 +413,7 @@ class EpochScheduler:
                 )
             if candidate is not None and candidate.allocations:
                 kept.append(candidate)
+                added.append(candidate)
 
         # Pack all uncovered demand (new sessions, rate growth, evictions).
         residual_loads = [
@@ -289,9 +422,9 @@ class EpochScheduler:
             if rate > 1e-9
         ]
         extra = self._repack(residual_loads)
-        return SchedulePlan(
-            gpus=kept + extra.gpus, infeasible=extra.infeasible
-        )
+        added += extra.gpus
+        plan = SchedulePlan(gpus=kept + extra.gpus, infeasible=extra.infeasible)
+        return _Walk(plan, reused, dropped, added)
 
     def _node_memory(self, node: GpuPlan) -> int | None:
         """Memory bound for one node: its class's capacity under a fleet."""
@@ -325,7 +458,9 @@ class EpochScheduler:
 
         def pack_at(scale: float) -> SchedulePlan:
             scaled = [l.with_rate(l.rate_rps * scale) for l in loads]
-            return self._incremental_plan(scaled)
+            by_id = {l.session_id: l for l in scaled}
+            demand = {l.session_id: l.rate_rps for l in scaled}
+            return self._incremental_plan(by_id, demand, {}, set()).plan
 
         lo, hi = 0.02, 1.0
         best = pack_at(lo)
@@ -403,28 +538,71 @@ class EpochScheduler:
 
     # -------------------------------------------------------------- helpers
 
-    def _assignment(self) -> dict[str, tuple[int, ...]]:
-        """session -> stable node ids hosting it (order-independent)."""
-        out: dict[str, list[int]] = {}
-        for node in self.plan.gpus:
-            for alloc in node.allocations:
-                out.setdefault(alloc.session_id, []).append(node.node_id)
-        return {sid: tuple(sorted(ids)) for sid, ids in out.items()}
+    def drift(self, loads: list[SessionLoad]) -> float:
+        """Plan GPUs divided by the GPUs a fresh pack of ``loads`` needs.
 
-    @staticmethod
-    def _count_moves(
-        before: dict[str, tuple[int, ...]], after: dict[str, tuple[int, ...]]
-    ) -> int:
+        The fresh pack is :meth:`_repack` (per class under a fleet), so
+        the ratio is 1.0 right after a first update and grows as the kept
+        nodes fragment.
+        """
+        fresh = self._repack(loads).num_gpus
+        if fresh == 0:
+            return 1.0 if self.plan.num_gpus == 0 else math.inf
+        return self.plan.num_gpus / fresh
+
+    def _forget_replaced(self, gpus: list[GpuPlan]) -> None:
+        """The plan was replaced outside the walk (``handle_failure``,
+        ``adopt`` or assignment): re-index it and unsettle what changed.
+
+        A settled node that vanished leaves its sessions unstable, since
+        the next node hosting them now sees more demand; a node listed
+        twice is not settled.  Nodes the last walk did not emit never were.
+        """
+        listed: dict[int, int] = {}
+        hosts: dict[str, list[int]] = {}
+        for node in gpus:
+            listed[id(node)] = listed.get(id(node), 0) + 1
+            for alloc in node.allocations:
+                hosts.setdefault(alloc.session_id, []).append(node.node_id)
+        settled = self._settled
+        for key, memo in list(settled.items()):
+            times = listed.get(key, 0)
+            if times != 1:
+                del settled[key]
+            if times == 0:
+                self._unstable.update(memo[2])
+        self._hosts = hosts
+        self._emitted = list(gpus)
+
+    def _count_moves(self, dropped: list[GpuPlan], added: list[GpuPlan]) -> int:
         """Sessions whose node-id set changed (coarse churn measure).
 
         Diffing stable node ids -- not positions in ``plan.gpus``, which
         re-sort every epoch -- means a session that stays put counts as
         zero churn even when the node list reorders, and a session that
-        retires (or appears) counts as one move.
+        retires (or appears) counts as one move.  Only sessions on a
+        dropped or added node can move, so the session -> node-id index
+        is patched for those nodes alone.
         """
+        hosts = self._hosts
+        before: dict[str, tuple[int, ...]] = {}
+        for node in dropped + added:
+            for alloc in node.allocations:
+                sid = alloc.session_id
+                if sid not in before:
+                    before[sid] = tuple(sorted(hosts.get(sid, ())))
+        for node in dropped:
+            for alloc in node.allocations:
+                hosts[alloc.session_id].remove(node.node_id)
+        for node in added:
+            for alloc in node.allocations:
+                hosts.setdefault(alloc.session_id, []).append(node.node_id)
         moved = 0
-        for sid in sorted(before.keys() | after.keys()):
-            if before.get(sid, ()) != after.get(sid, ()):
+        for sid, was in before.items():
+            now = hosts[sid]
+            if not now:
+                del hosts[sid]
+            if tuple(sorted(now)) != was:
                 moved += 1
         return moved
 
