@@ -26,7 +26,7 @@ import heapq
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from ..core.epoch import EpochScheduler
@@ -34,7 +34,15 @@ from ..core.fleet import Fleet, assign_classes
 from ..core.prefix import PrefixGroup
 from ..core.profile import EffectiveProfile, LinearProfile
 from ..core.profile_tables import remember
-from ..core.query import Query, QueryStage, even_split, plan_query
+from ..core.query import (
+    Query,
+    QueryStage,
+    StageCost,
+    even_split,
+    plan_query,
+    split_gpus,
+    stage_costs,
+)
 from ..core.session import Session, SessionLoad
 from ..core.squishy import SchedulePlan, pack_fleet, squishy_bin_packing
 from ..baselines.batch_oblivious import batch_oblivious_plan  # noqa: E402 -- leaf module, no cycle
@@ -187,6 +195,28 @@ class AppSpec:
     rate_fn: Callable[[float], float] | None = None
 
 
+@dataclass(frozen=True)
+class _AppSplits:
+    """One app's candidate latency splits, everything but their price.
+
+    ``even`` and ``dp`` are ``(budgets, session loads at unit root rate)``
+    for the even split and the section-6.2 DP split (``dp`` is ``None``
+    when query analysis is off, the query has one stage, or no split
+    fits its SLO).  ``even_costs`` prices the even split at any rate
+    through :func:`~repro.core.query.split_gpus`; ``dp_unit_gpus`` is the
+    DP split's GPUs per root rps.  ``app`` and ``query`` are kept for the
+    cache key's identities.
+    """
+
+    app: AppSpec
+    query: Query
+    even_costs: tuple[StageCost, ...]
+    even: tuple[dict[str, float], tuple[SessionLoad, ...]]
+    dp: tuple[dict[str, float], tuple[SessionLoad, ...]] | None
+    dp_unit_gpus: float
+    child_sessions: frozenset[str]
+
+
 @dataclass
 class ClusterResult:
     """Everything a run produced."""
@@ -280,6 +310,7 @@ class NexusCluster:
         self._aliases: dict[str, str] = {}
         self._splits: dict[str, dict[str, float]] = {}
         self._child_sessions: set[str] = set()
+        self._app_memo: dict[tuple[object, ...], _AppSplits] = {}
 
     # ----------------------------------------------------------- declaring
 
@@ -297,6 +328,10 @@ class NexusCluster:
     ) -> list[SessionLoad]:
         """Steps 1-2: latency splits + prefix fusion -> session loads.
 
+        Everything about an app's splits but their price is rate-free
+        and comes from :meth:`_app_splits`; each plan prices both
+        candidate splits at the app's rate and keeps one.
+
         Args:
             rates: per-app rate overrides keyed by query name (used by the
                 dynamic control plane); defaults to the declared rates.
@@ -305,60 +340,92 @@ class NexusCluster:
         loads: list[SessionLoad] = []
         self._aliases = {}
         self._splits = {}
-        self._child_sessions: set[str] = set()
+        self._child_sessions = set()
         for app in self.apps:
             rate = app.rate_rps if rates is None else rates.get(
                 app.query.name, app.rate_rps
             )
             planned = rate * (1.0 + cfg.plan_headroom)
-            # Plan splits against *effective* profiles (CPU occupancy
-            # folded in, per the overlap setting) so the DP's view of each
-            # stage's capacity matches what the packer and runtime see.
-            eff_query = self._effective_query(app.query)
-            even = even_split(
-                eff_query, max(planned, 1e-6),
-                worst_case_factor=cfg.qa_worst_case_factor,
+            split_rate = max(planned, 1e-6)
+            splits = self._app_splits(app)
+            even_gpus = split_gpus(split_rate, splits.even_costs)
+            budgets, unit_loads = splits.even
+            # Adopt the DP split only when it predicts a real saving:
+            # uneven splits shave children's budgets, which costs the
+            # runtime burst slack, so a sub-noise predicted gain is not
+            # worth taking.  (Also covers SLOs the even split cannot
+            # satisfy at all.)
+            if splits.dp is not None and (
+                math.isinf(even_gpus)
+                or split_rate * splits.dp_unit_gpus <= 0.97 * even_gpus
+            ):
+                budgets, unit_loads = splits.dp
+            self._splits[app.query.name] = dict(budgets)
+            # raw profiles; wrapped below
+            loads.extend(
+                load.with_rate(planned * load.rate_rps) for load in unit_loads
             )
-            split = even
-            if cfg.query_analysis and len(app.query.stages()) > 1:
-                try:
-                    dp = plan_query(
-                        eff_query,
-                        max(planned, 1e-6),
-                        epsilon_ms=cfg.qa_epsilon_ms,
-                        worst_case_factor=cfg.qa_worst_case_factor,
-                    )
-                except ValueError:
-                    dp = None
-                # Adopt the DP split only when it predicts a real saving:
-                # uneven splits shave children's budgets, which costs the
-                # runtime burst slack, so a sub-noise predicted gain is not
-                # worth taking.  (Also covers SLOs the even split cannot
-                # satisfy at all.)
-                if dp is not None and (
-                    math.isinf(even.total_gpus)
-                    or dp.total_gpus <= 0.97 * even.total_gpus
-                ):
-                    split = dp
-            split = replace(split, rate_rps=planned)
-            self._splits[app.query.name] = dict(split.budgets_ms)
-            app_loads = split.sessions(app.query)  # raw profiles; wrapped below
-            root_name = app.query.root.name
-            for load in app_loads:
-                stage_name = load.session_id.rsplit("/", 1)[-1]
-                is_child = stage_name != root_name and not (
-                    app.query.root.is_source
-                    and any(c.name == stage_name
-                            for c in app.query.root.children)
-                )
-                self._child_sessions.add(load.session_id) if is_child else None
-            loads.extend(app_loads)
+            self._child_sessions.update(splits.child_sessions)
 
         if cfg.prefix_batching:
             loads = self._fuse_prefixes(loads)
         loads = [self._effective(load) for load in loads]
         self._session_loads = loads
         return loads
+
+    def _app_splits(self, app: AppSpec) -> _AppSplits:
+        """``app``'s rate-free split inputs, computed on first use.
+
+        The key holds the app's and its query's identities and every
+        config field read here, so a replaced :class:`AppSpec` or query,
+        or a flipped field, computes afresh; the entry keeps both objects
+        alive, so their ids cannot be reused while it stands.
+        """
+        cfg = self.config
+        key = (id(app), id(app.query), cfg.overlap, cfg.query_analysis,
+               cfg.qa_worst_case_factor, cfg.qa_epsilon_ms)
+        hit = self._app_memo.get(key)
+        if hit is not None:
+            return hit
+        query = app.query
+        # Plan splits against *effective* profiles (CPU occupancy folded
+        # in, per the overlap setting) so the DP's view of each stage's
+        # capacity matches what the packer and runtime see.  Both splits
+        # are solved at unit root rate: their budgets and batches do not
+        # depend on it, and a session's rate is ``rate * mult``.
+        eff_query = self._effective_query(query)
+        even = even_split(
+            eff_query, 1.0, worst_case_factor=cfg.qa_worst_case_factor,
+        )
+        dp = None
+        if cfg.query_analysis and len(query.stages()) > 1:
+            try:
+                dp = plan_query(
+                    eff_query, 1.0,
+                    epsilon_ms=cfg.qa_epsilon_ms,
+                    worst_case_factor=cfg.qa_worst_case_factor,
+                )
+            except ValueError:
+                dp = None
+        even_loads = tuple(even.sessions(query))
+        root = query.root
+        children: list[str] = []
+        for load in even_loads:
+            stage_name = load.session_id.rsplit("/", 1)[-1]
+            if stage_name != root.name and not (
+                root.is_source
+                and any(c.name == stage_name for c in root.children)
+            ):
+                children.append(load.session_id)
+        return remember(self._app_memo, key, _AppSplits(
+            app=app,
+            query=query,
+            even_costs=tuple(stage_costs(eff_query, even.batches)),
+            even=(even.budgets_ms, even_loads),
+            dp=None if dp is None else (dp.budgets_ms, tuple(dp.sessions(query))),
+            dp_unit_gpus=math.inf if dp is None else dp.total_gpus,
+            child_sessions=frozenset(children),
+        ))
 
     def _effective_query(self, query: Query) -> Query:
         """A copy of the query whose stage profiles are effective views."""
@@ -392,7 +459,7 @@ class NexusCluster:
             profile = EffectiveProfile(base=profile, overlap=cfg.overlap)
         slo = load.session.slo_ms
         margin = cfg.slo_margin
-        if load.session_id in getattr(self, "_child_sessions", set()):
+        if load.session_id in self._child_sessions:
             margin = max(margin, cfg.child_slo_margin)
         tightened = slo * (1.0 - margin)
         if 2.0 * profile.latency(1) > tightened:

@@ -195,12 +195,16 @@ class PrefixBatchedProfile(BatchingProfile):
     def latency_curve(self) -> tuple[float, ...]:
         """The whole curve, ``==`` to ``latency(b)`` per batch.
 
-        The weights follow the offered rates, so a fused curve is rebuilt
-        every plan and cannot be interned.  It is computed in blocks of
-        :data:`_CURVE_BLOCK` batches, as float64 arrays: the apportionment
-        of every batch in a block at once (floors, then a stable sort of
-        the remainders hands out the leftover inputs), one gather from
-        the suffix tables, and a left-to-right running sum from the
+        The weights follow the offered rates, so a fused curve is built
+        afresh for every plan's rates and cannot be interned; its parts
+        can.  The suffix latencies are read from one row per distinct
+        suffix tables object (a family's equal-valued suffixes share one
+        interned :class:`~repro.core.profile_tables.ProfileTables`),
+        gathered through per-suffix row offsets.  The curve is computed
+        in blocks of :data:`_CURVE_BLOCK` batches, as float64 arrays: the
+        apportionment of every batch in a block at once (floors, then the
+        leftover inputs go to the largest remainders, ties in suffix
+        order), one gather, and a left-to-right running sum from the
         prefix latency -- the same float operations, in the same order,
         as :meth:`latency`.
         """
@@ -209,15 +213,24 @@ class PrefixBatchedProfile(BatchingProfile):
         k = len(self.suffixes)
         weights = np.array(self.weights, dtype=np.float64)
         prefix_ms = np.array(self.prefix.tables().latency_ms)
-        # suffix_ms[i, sub] is suffix i's latency at sub-batch ``sub``; a
-        # sub-batch above a suffix's own ceiling runs at that ceiling, and
-        # column 0 (the suffix gets no input) adds nothing.
-        suffix_ms = np.zeros((k, max_batch + 1))
-        for i, suffix in enumerate(self.suffixes):
-            lat = suffix.tables().latency_ms[:max_batch]
-            suffix_ms[i, 1:len(lat) + 1] = lat
-            suffix_ms[i, len(lat) + 1:] = lat[-1]
-        rows = np.arange(k)
+        tables = [suffix.tables() for suffix in self.suffixes]
+        distinct = {id(t): t for t in tables}     # first-seen order
+        row_of = {key: row for row, key in enumerate(distinct)}
+        # suffix_ms[row_start[i] + sub] is suffix i's latency at sub-batch
+        # ``sub``: one row of ``max_batch + 1`` entries per distinct
+        # tables object.  A sub-batch above a suffix's own ceiling runs at
+        # that ceiling, and column 0 (the suffix gets no input) adds
+        # nothing.
+        width = max_batch + 1
+        row_start = width * np.array(
+            [row_of[id(t)] for t in tables], dtype=np.intp
+        )
+        suffix_ms = np.zeros((len(distinct), width))
+        for row, t in enumerate(distinct.values()):
+            lat = t.latency_ms[:max_batch]
+            suffix_ms[row, 1:len(lat) + 1] = lat
+            suffix_ms[row, len(lat) + 1:] = lat[-1]
+        suffix_ms = suffix_ms.ravel()
         curve: list[float] = []
         for first in range(1, max_batch + 1, _CURVE_BLOCK):
             batch = np.arange(
@@ -226,16 +239,23 @@ class PrefixBatchedProfile(BatchingProfile):
             )
             shares = weights * batch[:, None] / total_w
             subs = np.floor(shares)
-            leftover = batch - subs.sum(axis=1)
-            # rank[r, i]: suffix i's place among batch r's remainders,
-            # ascending, equal remainders in suffix order.
-            order = np.argsort(subs - shares, axis=1, kind="stable")
-            rank = np.empty_like(order)
-            np.put_along_axis(rank, order, rows[None, :], axis=1)
-            subs += rank < leftover[:, None]
+            # Batch r hands one more input to each of its ``take[r]``
+            # first suffixes in (remainder descending, suffix order):
+            # those whose -remainder is below the take-th smallest, then
+            # the ones tied at it, in suffix order, until ``take`` is met.
+            neg = subs - shares
+            take = np.clip(batch - subs.sum(axis=1), 0, k).astype(np.intp)
+            cut = np.sort(neg, axis=1)[
+                np.arange(len(batch)), np.maximum(take - 1, 0)
+            ][:, None]
+            below = neg < cut
+            tied = neg == cut
+            room = take - below.sum(axis=1)
+            tied &= np.cumsum(tied, axis=1) <= room[:, None]
+            subs += below | tied
             terms = np.empty((len(batch), k + 1))
             terms[:, 0] = prefix_ms[first - 1:first - 1 + len(batch)]
-            terms[:, 1:] = suffix_ms[rows, subs.astype(np.intp)]
+            terms[:, 1:] = suffix_ms.take(row_start + subs.astype(np.intp))
             curve.extend(np.add.accumulate(terms, axis=1)[:, -1].tolist())
         return tuple(curve)
 

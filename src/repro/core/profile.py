@@ -27,6 +27,8 @@ import math
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .profile_tables import ProfileTables, interned_tables, remember
 
 __all__ = ["BatchingProfile", "LinearProfile", "TabulatedProfile",
@@ -261,10 +263,6 @@ class LinearProfile(BatchingProfile):
             b -= 1
         return b
 
-    def optimal_throughput(self) -> float:
-        """Throughput at max batch, ignoring SLO (the paper's 'optimal')."""
-        return self.throughput(self.max_batch)
-
     def scaled(self, factor: float, name: str | None = None) -> "LinearProfile":
         """A copy with both alpha and beta scaled (device speed ratio)."""
         return LinearProfile(
@@ -384,18 +382,18 @@ class EffectiveProfile(BatchingProfile):
     def latency_curve(self) -> tuple[float, ...]:
         # Raw computation for the table builder (no reads of *this*
         # profile's tables): the base curve, taken whole so a fused base
-        # builds it in one pass, with ``occupancy_time``'s CPU fold.
+        # builds it in one pass, with ``occupancy_time``'s CPU fold done
+        # on arrays in ``cpu_time``'s float operations
+        # (``where(cpu > gpu, cpu, gpu)`` is ``max(gpu, cpu)`` exactly).
         base = self.base
-        gpu = base.latency_curve()
-        if self.overlap:
-            return tuple(
-                max(lat, base.cpu_time(b, pooled=True))
-                for b, lat in enumerate(gpu, start=1)
-            )
-        return tuple(
-            lat + base.cpu_time(b, pooled=False)
-            for b, lat in enumerate(gpu, start=1)
+        gpu = np.array(base.latency_curve(), dtype=np.float64)
+        cpu = (base.pre_ms + base.post_ms) * np.arange(
+            1, len(gpu) + 1, dtype=np.float64
         )
+        if self.overlap:
+            cpu = cpu / max(1, base.cpu_workers)
+            return tuple(np.where(cpu > gpu, cpu, gpu).tolist())
+        return tuple((gpu + cpu).tolist())
 
     def tables_key(self) -> Hashable | None:
         if type(self) is not EffectiveProfile:

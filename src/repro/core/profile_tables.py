@@ -42,6 +42,8 @@ from __future__ import annotations
 from collections.abc import Hashable
 from typing import TYPE_CHECKING, TypeVar
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .profile import BatchingProfile
 
@@ -93,18 +95,18 @@ class ProfileTables:
     def __init__(self, profile: BatchingProfile) -> None:
         max_batch = profile.max_batch
         latency_ms = profile.latency_curve()
+        lat = np.array(latency_ms, dtype=np.float64)
+        batch = np.arange(1, len(lat) + 1, dtype=np.float64)
         self.max_batch = max_batch
         self.latency_ms = latency_ms
-        self.throughput_rps = tuple(
-            (b / lat * 1000.0) if lat > 0 else 0.0
-            for b, lat in enumerate(latency_ms, start=1)
-        )
+        # b / lat * 1000 where lat > 0, else 0.0 (0.0 * 1000.0 stays 0.0)
+        self.throughput_rps = tuple((np.divide(
+            batch, lat, out=np.zeros_like(lat), where=lat > 0
+        ) * 1000.0).tolist())
         self.memory_bytes = tuple(
-            profile.memory_bytes(b) for b in range(1, max_batch + 1)
+            map(profile.memory_bytes, range(1, max_batch + 1))
         )
-        self.monotone = all(
-            a <= b for a, b in zip(latency_ms, latency_ms[1:])
-        )
+        self.monotone = bool(np.all(lat[:-1] <= lat[1:]))
         self.residual_memo: dict[tuple[float, float], int] = {}
         self.slo_memo: dict[float, int] = {}
         self.p99_memo: dict[tuple[float, float, str, int, int, str], int] = {}

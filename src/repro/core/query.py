@@ -23,7 +23,7 @@ once at unit rate, memoises the split by value, and scales the cost.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -33,7 +33,7 @@ from .session import Session, SessionLoad
 
 __all__ = ["QueryStage", "Query", "LatencySplit", "MixedSplit", "plan_query",
            "plan_query_classes", "evaluate_split", "even_split",
-           "average_throughput"]
+           "StageCost", "stage_costs", "split_gpus", "average_throughput"]
 
 
 @dataclass
@@ -556,20 +556,50 @@ def even_split(query: Query, rate_rps: float,
     per_stage = query.slo_ms / query.depth()
     budgets_out: dict[str, float] = {}
     batches_out: dict[str, int] = {}
-    total = 0.0
-    for stage, mult in query.stages():
+    for stage, _ in query.stages():
         if stage.is_source:
             budgets_out[stage.name] = 0.0
             batches_out[stage.name] = 0
             continue
         budgets_out[stage.name] = per_stage
-        b = stage.profile.max_batch_with_latency(per_stage / worst_case_factor)
-        batches_out[stage.name] = b
+        batches_out[stage.name] = stage.profile.max_batch_with_latency(
+            per_stage / worst_case_factor
+        )
+    total = split_gpus(rate_rps, stage_costs(query, batches_out))
+    return LatencySplit(budgets_out, batches_out, total, rate_rps)
+
+
+#: One model stage's GPU-cost inputs: ``(rate multiplier, l(b), b)``, with
+#: ``b == 0`` (and ``l`` unused) when no batch fits the stage's budget.
+StageCost = tuple[float, float, int]
+
+
+def stage_costs(query: Query, batches: dict[str, int]) -> list[StageCost]:
+    """Each model stage's :data:`StageCost` at the given batches, preorder.
+
+    Nothing here depends on the offered rate, so a caller that re-prices
+    one split at many rates computes it once (:func:`split_gpus`).
+    """
+    out: list[StageCost] = []
+    for stage, mult in query.stages():
+        if stage.is_source:
+            continue
+        b = batches[stage.name]
+        out.append((mult, stage.profile.latency(b) if b else 0.0, b))
+    return out
+
+
+def split_gpus(rate_rps: float, costs: Iterable[StageCost]) -> float:
+    """GPUs the stages need at root rate ``rate_rps``: the sum of
+    ``rate * mult * l(b) / b / 1000`` in stage order, or ``math.inf``
+    when some stage fits no batch (:func:`even_split`'s total)."""
+    total = 0.0
+    for mult, lat, b in costs:
         if b == 0:
             total = math.inf
         else:
-            total += rate_rps * mult * stage.profile.latency(b) / b / 1000.0
-    return LatencySplit(budgets_out, batches_out, total, rate_rps)
+            total += rate_rps * mult * lat / b / 1000.0
+    return total
 
 
 def evaluate_split(

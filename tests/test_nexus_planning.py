@@ -1,15 +1,17 @@
 """Focused tests for NexusCluster's planning internals."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from repro.cluster.nexus import ClusterConfig, ClusterResult, NexusCluster
+from repro.cluster.nexus import AppSpec, ClusterConfig, ClusterResult, NexusCluster
+from repro.core import squishy
 from repro.core.profile import EffectiveProfile, LinearProfile
 from repro.core.query import Query, QueryStage
 from repro.metrics.collector import MetricsCollector
 from repro.core.squishy import SchedulePlan
-from repro.workloads.apps import traffic_query
+from repro.workloads.apps import all_apps, traffic_query
 
 
 def cluster_with(rate=100.0, **kw):
@@ -127,6 +129,92 @@ class TestPrefixFusion:
             tightest = min(c._splits[m.split("/")[0]][m.split("/")[1]]
                            for m in members)
             assert loads[sid].slo_ms <= (1.0 - cfg.slo_margin) * tightest
+
+
+def _small_fleet(**kw):
+    cfg = ClusterConfig(device="gtx1080ti", expand_to_cluster=False, **kw)
+    cluster = NexusCluster(cfg)
+    for i, query in enumerate(all_apps("gtx1080ti", num_games=3)):
+        cluster.add_query(query, 20.0 + 5.0 * (i % 4), "poisson")
+    return cluster
+
+
+_RATES = {"traffic0": 31.0, "bb": 12.5, "game1": 44.0, "logo": 9.0}
+
+
+def _planned(cluster):
+    """Splits and node-for-node plan, node ids relative to the plan's
+    first (the counter is process-wide)."""
+    first = squishy._next_node_id()
+    plan = cluster.plan(_RATES)
+    return (
+        {name: dict(budgets) for name, budgets in cluster._splits.items()},
+        sorted(cluster._child_sessions),
+        [(gpu.node_id - first, gpu.duty_cycle_ms,
+          [(a.session_id, a.batch, a.load.rate_rps, a.load.slo_ms, a.exec_ms)
+           for a in gpu.allocations])
+         for gpu in plan.gpus],
+    )
+
+
+def _fresh_plan(cluster):
+    """The plan a cluster that never planned before emits for the same
+    apps and config."""
+    fresh = NexusCluster(replace(cluster.config))
+    for app in cluster.apps:
+        fresh.add_app(AppSpec(app.query, app.rate_rps, app.arrival))
+    return _planned(fresh)
+
+
+class TestPerAppSplitsAreRecomputedWhenTheirInputsChange:
+    """Each app's rate-free split inputs are computed once; a replaced
+    app or query, a new app or a flipped config field must never plan
+    from a stale entry."""
+
+    def test_a_replaced_app_rereads_its_query(self):
+        cluster = _small_fleet()
+        before = _planned(cluster)
+        old = cluster.apps[1]
+        old.query.slo_ms *= 0.6    # in place: only the AppSpec is new
+        cluster.apps[1] = AppSpec(old.query, old.rate_rps, old.arrival)
+        after = _planned(cluster)
+        assert after != before
+        assert after == _fresh_plan(cluster)
+
+    def test_a_query_replaced_on_the_same_app(self):
+        cluster = _small_fleet()
+        before = _planned(cluster)
+        app = cluster.apps[0]
+        app.query = Query(app.query.name, app.query.root,
+                          app.query.slo_ms * 0.6)
+        after = _planned(cluster)
+        assert after != before
+        assert after == _fresh_plan(cluster)
+
+    def test_an_app_added_after_a_plan(self):
+        cluster = _small_fleet()
+        before = _planned(cluster)
+        cluster.add_query(traffic_query(slo_ms=300.0, stream_id=7), 18.0)
+        after = _planned(cluster)
+        assert after != before and "traffic7" in after[0]
+        assert after == _fresh_plan(cluster)
+
+    @pytest.mark.parametrize("field, value", [
+        ("overlap", False),
+        ("query_analysis", False),
+        ("qa_worst_case_factor", 1.0),
+        ("slo_margin", 0.2),
+    ])
+    def test_a_config_field_flipped_between_plans(self, field, value):
+        cluster = _small_fleet()
+        before = _planned(cluster)
+        default = getattr(cluster.config, field)
+        setattr(cluster.config, field, value)
+        flipped = _planned(cluster)
+        assert flipped != before
+        assert flipped == _fresh_plan(cluster)
+        setattr(cluster.config, field, default)
+        assert _planned(cluster) == before
 
 
 class TestClusterResult:

@@ -209,10 +209,52 @@ def fused_profiles(draw):
     return _fused(prefix, suffixes, weights)
 
 
+#: weights that tie exactly (and zero ones), drawn beside arbitrary floats
+_TYING_WEIGHTS = (0.0, 1.0, 2.5, 1.0 / 3.0, 7.0)
+
+
+@st.composite
+def families_sharing_curves(draw):
+    """Up to 250 suffixes, many resolving to one interned curve: fresh but
+    equal-valued profile objects of a shared head, mixed with distinct
+    heads, with ceilings on both sides of the prefix's."""
+    prefix_ceiling = draw(st.integers(1, 48))
+    prefix = LinearProfile(
+        name="p", alpha=draw(st.floats(0.05, 2.0)),
+        beta=draw(st.floats(0.0, 20.0)), max_batch=prefix_ceiling,
+    )
+    ceilings = st.integers(1, prefix_ceiling + 24)
+    shared = (draw(st.floats(0.001, 0.5)), draw(st.floats(0.0, 2.0)),
+              draw(ceilings))
+    distinct = draw(st.lists(suffix_profiles, min_size=1, max_size=4))
+    distinct.append(LinearProfile(name="d", alpha=0.01, beta=0.1,
+                                  max_batch=draw(ceilings)))
+    k = draw(st.integers(1, 250))
+    picks = draw(st.lists(st.integers(-1, len(distinct) - 1),
+                          min_size=k, max_size=k))
+    suffixes = [
+        LinearProfile(name=f"s{i}", alpha=shared[0], beta=shared[1],
+                      max_batch=shared[2])
+        if pick < 0 else distinct[pick]
+        for i, pick in enumerate(picks)
+    ]
+    weights = draw(st.lists(
+        st.one_of(st.sampled_from(_TYING_WEIGHTS), st.floats(0.0, 10.0)),
+        min_size=k, max_size=k,
+    ))
+    weights[draw(st.integers(0, k - 1))] = draw(st.floats(0.01, 10.0))
+    return _fused(prefix, suffixes, weights)
+
+
 class TestOnePassFusedCurve:
     @given(fused_profiles())
     @settings(max_examples=60, deadline=None)
     def test_random_weights_match_exactly(self, profile):
+        assert_curve_is_the_reference(profile)
+
+    @given(families_sharing_curves())
+    @settings(max_examples=40, deadline=None)
+    def test_shared_and_distinct_suffix_curves_match_exactly(self, profile):
         assert_curve_is_the_reference(profile)
 
     def test_sub_batch_above_a_suffix_ceiling_clamps(self):

@@ -150,6 +150,26 @@ class TestNonMonotoneFallback:
             legacy_residual_scan(lats, rate, slo)
 
 
+class TestTablesMatchTheScalarFormulas:
+    @given(st.lists(
+        st.one_of(st.floats(-5.0, 300.0), st.sampled_from([0.0, -0.0])),
+        min_size=1, max_size=64,
+    ))
+    @settings(max_examples=80)
+    def test_throughput_and_monotone_per_batch(self, lats):
+        """The array build equals the per-batch expressions, non-positive
+        latencies (throughput 0.0) and dips included."""
+        tables = ProfileTables(_NonMonotoneProfile(lats))
+        assert tables.latency_ms == tuple(lats)
+        assert tables.throughput_rps == tuple(
+            (b / lat * 1000.0) if lat > 0 else 0.0
+            for b, lat in enumerate(lats, start=1)
+        )
+        assert all(type(t) is float for t in tables.throughput_rps)
+        assert tables.monotone == all(a <= b for a, b in zip(lats, lats[1:]))
+        assert tables.memory_bytes == (0,) * len(lats)
+
+
 class TestMemoization:
     def test_residual_memo_is_stable(self):
         profile = LinearProfile(name="m", alpha=1.0, beta=10.0, max_batch=64)
