@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable
 
 from .callgraph import CallGraph, CallSite, FunctionNode
 from .lint import Finding
@@ -434,10 +433,3 @@ def _check_cpu_bound(fn: FunctionNode) -> list[Finding]:
                     f"no await/break; nothing else runs on the loop",
                 ))
     return findings
-
-
-def rules_for(requested: Iterable[str] | None) -> frozenset[str]:
-    """The subset of async rules in a requested rule set (None = all)."""
-    if requested is None:
-        return frozenset(RULES)
-    return frozenset(RULES) & frozenset(requested)

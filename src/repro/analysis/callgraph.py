@@ -157,12 +157,6 @@ class CallGraph:
 
     # ---------------------------------------------------------- queries
 
-    def functions_in(self, path: str) -> list[FunctionNode]:
-        return sorted(
-            (f for f in self.functions.values() if f.path == path),
-            key=lambda f: (f.lineno, f.col),
-        )
-
     def resolved_callees(self, qualname: str) -> list[str]:
         """Project functions this function calls (resolved edges only)."""
         fn = self.functions.get(qualname)

@@ -13,12 +13,8 @@ Checked invariants (one rule slug per class of violation):
 - ``slo-headroom``       every allocation's worst-case latency fits its
                          SLO (Equation 2; saturated nodes use the
                          back-to-back ``2*l(B)`` bound, lone residual
-                         nodes the gather-time bound).  Nodes sized under
-                         p99 admission (``plan.slo_mode == "p99"``) are
-                         checked against the queueing oracle instead:
-                         dedicated single-session node, stable rate, and
-                         p99 sojourn within the SLO -- re-asked of the
-                         same capacity engine that sized the node.
+                         nodes the gather-time bound; see
+                         :meth:`~repro.core.squishy.GpuPlan.worst_case_ms`).
 - ``duty-overcommit``    the members' batch latencies fit inside the duty
                          cycle (residue-merge legality, Figure 7).
 - ``memory-capacity``    resident model memory fits the GPU.
@@ -52,7 +48,6 @@ from dataclasses import dataclass
 
 from ..core.fleet import Fleet
 from ..core.floatcmp import approx_le
-from ..core.queueing import capacity_answer
 from ..core.squishy import GpuPlan, SchedulePlan
 
 __all__ = [
@@ -97,69 +92,6 @@ class PlanCheckError(AssertionError):
         header = f"invalid plan{f' ({context})' if context else ''}:"
         lines = [header] + [f"  {v.render()}" for v in violations]
         super().__init__("\n".join(lines))
-
-
-def _worst_case_ms(plan: GpuPlan, alloc_index: int) -> float:
-    """The allocation's worst-case latency under this plan's regime."""
-    alloc = plan.allocations[alloc_index]
-    if plan.saturated:
-        # Back-to-back batches: a request just missing one batch waits
-        # for the whole next one (section 6.1's 2*l(B) bound).
-        return 2.0 * alloc.exec_ms
-    wc = plan.duty_cycle_ms + alloc.exec_ms
-    if len(plan.allocations) == 1:
-        # A lone residual session dispatches as soon as its batch fills:
-        # its first request waits the gather time, not the nominal duty.
-        wc = min(wc, alloc.gather_wait_ms() + alloc.exec_ms)
-    return wc
-
-
-def _check_p99(
-    plan: GpuPlan, in_bounds: list[int], gpu_index: int | None
-) -> list[PlanViolation]:
-    """p99-admission invariants: a dedicated node whose oracle-estimated
-    tail meets the SLO (the probabilistic counterpart of ``slo-headroom``).
-
-    The queueing model describes one session with the whole GPU, so a
-    multi-session p99 node has no validated latency story at all.  The
-    capacity question is re-asked of the same engine
-    (``plan.capacity_mode``) that sized the node -- p99 admission sits at
-    the estimate's boundary, where analytic and simulated answers
-    legitimately differ by a few percent.
-    """
-    violations: list[PlanViolation] = []
-    if len(plan.allocations) != 1:
-        violations.append(PlanViolation(
-            "slo-headroom",
-            f"p99 node hosts {len(plan.allocations)} sessions; p99 "
-            f"admission applies to dedicated nodes only",
-            gpu_index=gpu_index,
-        ))
-    mode = getattr(plan, "capacity_mode", "analytic")
-    for i in in_bounds:
-        alloc = plan.allocations[i]
-        sid = alloc.session_id
-        est = capacity_answer(
-            alloc.load.profile, alloc.load.rate_rps, batch_cap=alloc.batch,
-            mode=mode,
-        )
-        if not est.stable:
-            violations.append(PlanViolation(
-                "slo-headroom",
-                f"{sid}: rate {alloc.load.rate_rps:.3f} rps exceeds "
-                f"sustainable {est.sustainable_rps:.3f} rps at cap "
-                f"{alloc.batch}",
-                gpu_index=gpu_index, session_id=sid,
-            ))
-        elif not approx_le(est.p99_ms, alloc.load.slo_ms):
-            violations.append(PlanViolation(
-                "slo-headroom",
-                f"{sid}: p99 {est.p99_ms:.3f} ms exceeds SLO "
-                f"{alloc.load.slo_ms:.3f} ms at cap {alloc.batch} "
-                f"({est.source} estimate)",
-                gpu_index=gpu_index, session_id=sid,
-            ))
-    return violations
 
 
 def check_gpu_plan(
@@ -213,21 +145,18 @@ def check_gpu_plan(
             gpu_index=gpu_index,
         ))
 
-    if getattr(plan, "slo_mode", "worst_case") == "p99":
-        violations.extend(_check_p99(plan, in_bounds, gpu_index))
-    else:
-        for i in in_bounds:
-            alloc = plan.allocations[i]
-            sid = alloc.session_id
-            wc = _worst_case_ms(plan, i)
-            if not approx_le(wc, alloc.load.slo_ms):
-                violations.append(PlanViolation(
-                    "slo-headroom",
-                    f"{sid}: worst-case {wc:.3f} ms exceeds SLO "
-                    f"{alloc.load.slo_ms:.3f} ms (duty "
-                    f"{plan.duty_cycle_ms:.3f} + exec {alloc.exec_ms:.3f})",
-                    gpu_index=gpu_index, session_id=sid,
-                ))
+    for i in in_bounds:
+        alloc = plan.allocations[i]
+        sid = alloc.session_id
+        wc = plan.worst_case_ms(alloc)
+        if not approx_le(wc, alloc.load.slo_ms):
+            violations.append(PlanViolation(
+                "slo-headroom",
+                f"{sid}: worst-case {wc:.3f} ms exceeds SLO "
+                f"{alloc.load.slo_ms:.3f} ms (duty "
+                f"{plan.duty_cycle_ms:.3f} + exec {alloc.exec_ms:.3f})",
+                gpu_index=gpu_index, session_id=sid,
+            ))
 
     for sid, count in seen.items():
         if count > 1:

@@ -11,7 +11,7 @@
 - :mod:`drop` -- lazy/early drop dispatch policies (sections 4.3, 6.3);
 - :mod:`epoch` -- incremental epoch scheduling (sections 5, 6.1);
 - :mod:`queueing` -- closed-form queueing oracle for O(1) capacity /
-  what-if answers and p99 admission (docs/queueing.md).
+  what-if answers (docs/queueing.md).
 """
 
 from .dag import Parallel, Series, SPPlan, SPStage, plan_sp, sp_from_edges

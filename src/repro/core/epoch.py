@@ -27,15 +27,12 @@ from typing import NamedTuple
 from .fleet import Fleet
 from .floatcmp import approx_zero
 from .profile import BatchingProfile
-from .queueing import QueueEstimate, capacity_answer
 from .session import Session, SessionLoad
 from .squishy import (
     Allocation,
     GpuPlan,
     SchedulePlan,
     pack_fleet,
-    schedule_residue,
-    schedule_saturate,
     squishy_bin_packing,
 )
 
@@ -116,13 +113,6 @@ class EpochScheduler:
             (:mod:`repro.analysis.plan_check`) and a violation raises
             :class:`~repro.analysis.plan_check.PlanCheckError`.  Leave
             False for baselines that are latency-infeasible by design.
-        slo_mode: admission regime for residual nodes -- ``"worst_case"``
-            (the paper's deterministic bounds) or ``"p99"`` (the queueing
-            oracle's tail bound; docs/queueing.md).
-        capacity_mode: how capacity/what-if questions are answered --
-            ``"analytic"`` consults the closed-form oracle and falls back
-            to the seeded queue simulation when its preconditions fail;
-            ``"simulate"`` always simulates.
     """
 
     epoch_ms: float = 30_000.0
@@ -131,8 +121,6 @@ class EpochScheduler:
     memory_capacity: int | None = None
     max_gpus: int | None = None
     validate: bool = False
-    slo_mode: str = "worst_case"
-    capacity_mode: str = "analytic"
     fleet: Fleet | None = None
 
     plan: SchedulePlan = field(default_factory=lambda: SchedulePlan(gpus=[]))
@@ -384,8 +372,7 @@ class EpochScheduler:
                 continue  # release this backend
             candidate = GpuPlan(
                 new_allocs, node.duty_cycle_ms, saturated=node.saturated,
-                node_id=node.node_id, slo_mode=node.slo_mode,
-                capacity_mode=node.capacity_mode, device=node.device,
+                node_id=node.node_id, device=node.device,
             )
             # Overload check: evict cheapest sessions until feasible.
             while candidate.validate(self._node_memory(node)):
@@ -407,8 +394,6 @@ class EpochScheduler:
                 candidate = GpuPlan(
                     rest, candidate.duty_cycle_ms,
                     saturated=candidate.saturated, node_id=candidate.node_id,
-                    slo_mode=candidate.slo_mode,
-                    capacity_mode=candidate.capacity_mode,
                     device=candidate.device,
                 )
             if candidate is not None and candidate.allocations:
@@ -435,14 +420,8 @@ class EpochScheduler:
     def _repack(self, loads: list[SessionLoad]) -> SchedulePlan:
         """Pack uncovered demand: per class under a fleet, flat otherwise."""
         if self.fleet is not None:
-            return pack_fleet(
-                loads, self.fleet, slo_mode=self.slo_mode,
-                capacity_mode=self.capacity_mode,
-            )
-        return squishy_bin_packing(
-            loads, memory_capacity=self.memory_capacity,
-            slo_mode=self.slo_mode, capacity_mode=self.capacity_mode,
-        )
+            return pack_fleet(loads, self.fleet)
+        return squishy_bin_packing(loads, memory_capacity=self.memory_capacity)
 
     def _capped_plan(self, loads: list[SessionLoad]) -> SchedulePlan:
         """Demand exceeds the GPU cap: shed load *proportionally*.
@@ -514,27 +493,6 @@ class EpochScheduler:
         self.plan = plan
         self._last_schedule_ms = now_ms
         self._last_rates = {l.session_id: l.rate_rps for l in loads}
-
-    # ------------------------------------------------------ capacity queries
-
-    def capacity_query(
-        self, load: SessionLoad, batch_cap: int | None = None,
-        seed: int = 0,
-    ) -> QueueEstimate:
-        """What-if oracle: the latency distribution / sustainable rate one
-        dedicated GPU would give this load at its current rate.
-
-        Routes through :func:`repro.core.queueing.capacity_answer` under
-        this scheduler's ``capacity_mode`` -- the analytic path answers in
-        O(1) with no event loop, falling back to the seeded queue
-        simulation only when the oracle's preconditions fail.  Direct
-        simulator calls here are a lint error
-        (``sim-in-planner-inner-loop``).
-        """
-        return capacity_answer(
-            load.profile, load.rate_rps, batch_cap=batch_cap,
-            mode=self.capacity_mode, seed=seed,
-        )
 
     # -------------------------------------------------------------- helpers
 

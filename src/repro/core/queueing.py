@@ -446,10 +446,9 @@ def capacity_answer(
     ``mode="analytic"`` consults the closed-form oracle and falls back to
     the seeded simulation when a precondition fails (the returned
     estimate's ``source``/``reason`` record the decision);
-    ``mode="simulate"`` always simulates.  Planning code -- the epoch
-    scheduler in particular -- must route every capacity question through
-    here rather than invoking a simulator directly (nexuslint rule
-    ``sim-in-planner-inner-loop``).
+    ``mode="simulate"`` always simulates.  Planning code must route every
+    capacity question through here rather than invoking a simulator
+    directly (nexuslint rule ``sim-in-planner-inner-loop``).
     """
     if mode == "analytic":
         try:

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 from .fleet import Fleet
 from .floatcmp import approx_ge, approx_le
-from .queueing import capacity_answer, max_batch_under_p99
 from .session import SessionLoad
 
 __all__ = [
@@ -67,10 +66,6 @@ class Allocation:
         """Batch execution latency for this allocation."""
         return self.load.profile.latency(self.batch)
 
-    def worst_case_latency(self, duty_cycle_ms: float) -> float:
-        """Section 4.1: duty cycle + own batch execution cost."""
-        return duty_cycle_ms + self.exec_ms
-
     def gather_wait_ms(self) -> float:
         """Worst wait of a batch's first request until the batch fills."""
         if self.load.rate_rps <= 0:
@@ -104,24 +99,12 @@ class GpuPlan:
     a plan node that carries over to the next epoch (possibly with adjusted
     allocations) keeps its id, so "did this session move?" and "which node
     died with that backend?" have well-defined answers.
-
-    ``slo_mode`` selects the admission regime the node was sized under:
-    ``"worst_case"`` (the paper's deterministic bounds) or ``"p99"`` (a
-    dedicated dynamic-batching node whose p99 sojourn -- per the queueing
-    oracle -- meets the SLO; ``batch`` is the batch *cap*, ``duty_cycle_ms``
-    the nominal gather period used for capacity accounting).
-    ``capacity_mode`` records which engine sized a p99 node, so
-    :meth:`validate` re-asks the *same* engine -- p99 admission sits
-    exactly at the estimate's boundary, and the analytic and simulated
-    estimates legitimately disagree by a few percent there.
     """
 
     allocations: list[Allocation]
     duty_cycle_ms: float
     saturated: bool = False
     node_id: int = field(default_factory=_next_node_id)
-    slo_mode: str = "worst_case"
-    capacity_mode: str = "analytic"
     device: str = ""
 
     @property
@@ -165,6 +148,23 @@ class GpuPlan:
     def session_ids(self) -> list[str]:
         return [a.session_id for a in self.allocations]
 
+    def worst_case_ms(self, alloc: Allocation) -> float:
+        """One member's worst-case latency on this node (section 6.1).
+
+        A saturated node runs back-to-back batches, so a request that just
+        misses one batch waits for the whole next one: ``2*l(B)``.  On a
+        shared node a request waits at most one duty cycle, then its
+        batch's execution (Equation 2).  A lone residual session dispatches
+        as soon as its batch fills: its first request waits the gather
+        time, not the nominal duty cycle.
+        """
+        if self.saturated:
+            return 2 * alloc.exec_ms
+        wc = self.duty_cycle_ms + alloc.exec_ms
+        if len(self.allocations) == 1:
+            wc = min(wc, alloc.gather_wait_ms() + alloc.exec_ms)
+        return wc
+
     def validate(self, memory_capacity: int | None = None) -> list[str]:
         """Return human-readable constraint violations (empty if valid)."""
         problems = []
@@ -173,57 +173,17 @@ class GpuPlan:
                 f"busy {self.busy_ms:.2f}ms exceeds duty cycle "
                 f"{self.duty_cycle_ms:.2f}ms"
             )
-        if self.slo_mode == "p99":
-            problems.extend(self._validate_p99())
-        else:
-            for a in self.allocations:
-                wc = a.worst_case_latency(self.duty_cycle_ms)
-                if self.saturated:
-                    wc = 2 * a.exec_ms
-                elif len(self.allocations) == 1:
-                    # A lone residual session dispatches as soon as its batch
-                    # fills: its first request waits the gather time, not the
-                    # nominal duty cycle.
-                    wc = min(wc, a.gather_wait_ms() + a.exec_ms)
-                if not approx_le(wc, a.load.slo_ms):
-                    problems.append(
-                        f"{a.session_id}: worst-case {wc:.2f}ms > SLO "
-                        f"{a.load.slo_ms:.2f}ms"
-                    )
+        for a in self.allocations:
+            wc = self.worst_case_ms(a)
+            if not approx_le(wc, a.load.slo_ms):
+                problems.append(
+                    f"{a.session_id}: worst-case {wc:.2f}ms > SLO "
+                    f"{a.load.slo_ms:.2f}ms"
+                )
         if memory_capacity is not None and self.memory_bytes() > memory_capacity:
             problems.append(
                 f"memory {self.memory_bytes()} > capacity {memory_capacity}"
             )
-        return problems
-
-    def _validate_p99(self) -> list[str]:
-        """p99-mode invariants: a dedicated node whose tail meets the SLO.
-
-        The oracle's queue model describes one session with the whole GPU;
-        multi-session p99 nodes have no validated latency story.
-        """
-        problems = []
-        if len(self.allocations) != 1:
-            problems.append(
-                f"p99 node hosts {len(self.allocations)} sessions; p99 "
-                f"admission applies to dedicated nodes only"
-            )
-        for a in self.allocations:
-            est = capacity_answer(
-                a.load.profile, a.load.rate_rps, batch_cap=a.batch,
-                mode=self.capacity_mode,
-            )
-            if not est.stable:
-                problems.append(
-                    f"{a.session_id}: rate {a.load.rate_rps:.2f} rps exceeds "
-                    f"sustainable {est.sustainable_rps:.2f} rps at cap "
-                    f"{a.batch}"
-                )
-            elif not approx_le(est.p99_ms, a.load.slo_ms):
-                problems.append(
-                    f"{a.session_id}: p99 {est.p99_ms:.2f}ms > SLO "
-                    f"{a.load.slo_ms:.2f}ms at cap {a.batch}"
-                )
         return problems
 
 
@@ -274,18 +234,11 @@ class _Residual:
 
 def schedule_saturate(
     loads: list[SessionLoad],
-    slo_mode: str = "worst_case",
 ) -> tuple[list[GpuPlan], list[SessionLoad], list[SessionLoad]]:
     """Phase 1: allocate whole GPUs to sessions that can fill them.
 
     Returns ``(gpu_plans, residual_loads, infeasible_loads)``.  A load is
     infeasible when even a batch of one misses its SLO on this profile.
-
-    Saturated GPUs are sized by the worst-case ``2*l(B)`` bound in both
-    SLO modes (a saturated queue sits at utilization ~1, outside the
-    queueing oracle's applicability); ``slo_mode="p99"`` only changes how
-    too-tight sessions (``2*l(1) > SLO``) are handed to the residue
-    phase, which shards them by the oracle instead of Equation 2.
     """
     plans: list[GpuPlan] = []
     residuals: list[SessionLoad] = []
@@ -303,10 +256,6 @@ def schedule_saturate(
             # across enough residual-only nodes.
             if load.profile.latency(1) > load.slo_ms:
                 infeasible.append(load)
-            elif slo_mode == "p99":
-                # The p99 residue phase sizes (and shards) tight sessions
-                # by the oracle's tail bound, not the worst-case one.
-                residuals.append(load)
             else:
                 residuals.extend(_shard_tight_session(load))
             continue
@@ -381,73 +330,6 @@ def _initial_residual(load: SessionLoad) -> _Residual | None:
     return None
 
 
-def _p99_residual(load: SessionLoad, capacity_mode: str) -> _Residual | None:
-    """p99 analogue of :func:`_initial_residual`: size a *dedicated*
-    dynamic-batching node by the queueing oracle's tail bound.
-
-    The batch is the largest cap whose p99 sojourn meets the SLO at this
-    rate; the duty cycle is the nominal gather period ``cap / rate``
-    (capacity accounting -- the node dispatches dynamically, not on a
-    timer).  Returns None when no cap works on one GPU.
-    """
-    cap = max_batch_under_p99(
-        load.profile, load.rate_rps, load.slo_ms, mode=capacity_mode,
-        device=load.device,
-    )
-    if cap == 0:
-        return None
-    exec_ms = load.profile.latency(cap)
-    duty_ms = cap / load.rate_rps * 1000.0
-    if duty_ms < exec_ms:
-        # Defensive: a profile whose peak throughput sits below the cap
-        # could leave the gather period shorter than the execution; pin
-        # the duty to back-to-back batches so occupancy stays <= 1.
-        duty_ms = exec_ms
-    return _Residual(load, cap, duty_ms)
-
-
-#: Shard-count ceiling when splitting one session's rate across several
-#: dedicated p99 nodes (each shard re-runs the oracle at a lower rate).
-_MAX_P99_SHARDS = 64
-
-
-def _schedule_residue_p99(
-    residuals: list[SessionLoad], capacity_mode: str
-) -> tuple[list[GpuPlan], list[SessionLoad]]:
-    """Residue phase under p99 admission: one dedicated node per load.
-
-    The oracle's queue model describes a session with a whole GPU to
-    itself, so p99 nodes never merge into shared duty cycles; a load too
-    hot for one node is sharded across several (halving the rate lowers
-    utilization and with it the tail).
-    """
-    nodes: list[GpuPlan] = []
-    infeasible: list[SessionLoad] = []
-    for load in sorted(residuals, key=lambda l: l.session_id):
-        if load.rate_rps <= 0:
-            continue
-        if load.profile.latency(1) > load.slo_ms:
-            infeasible.append(load)
-            continue
-        placed = False
-        for shards in range(1, _MAX_P99_SHARDS + 1):
-            shard = load.with_rate(load.rate_rps / shards)
-            res = _p99_residual(shard, capacity_mode)
-            if res is None:
-                continue
-            for _ in range(shards):
-                nodes.append(GpuPlan(
-                    [Allocation(res.load, res.batch)], res.duty_ms,
-                    slo_mode="p99", capacity_mode=capacity_mode,
-                    device=load.device,
-                ))
-            placed = True
-            break
-        if not placed:
-            infeasible.append(load)
-    return nodes, infeasible
-
-
 #: Ceiling on merged-node occupancy.  1.0 is the paper's rule (the worked
 #: example of section 4.1 packs A+B to exactly 100% of the duty cycle);
 #: lower values trade GPUs for burst slack -- the ablation bench sweeps
@@ -505,8 +387,6 @@ def schedule_residue(
     residuals: list[SessionLoad],
     memory_capacity: int | None = None,
     merge_order: str = "best_fit",
-    slo_mode: str = "worst_case",
-    capacity_mode: str = "analytic",
 ) -> tuple[list[GpuPlan], list[SessionLoad]]:
     """Phase 2: pack residual loads into shared duty cycles.
 
@@ -517,20 +397,11 @@ def schedule_residue(
             merged occupancy is highest), ``"first_fit"``, or
             ``"worst_fit"`` -- the alternatives exist for the ablation
             bench on merge policy.
-        slo_mode: ``"worst_case"`` (Equation 2 batches, Figure 7 merges)
-            or ``"p99"`` (dedicated per-load nodes sized by the queueing
-            oracle's tail bound; see docs/queueing.md).
-        capacity_mode: how p99-mode capacity questions are answered --
-            ``"analytic"`` (oracle with simulation fallback) or
-            ``"simulate"`` (always the seeded queue simulation).
-            Ignored under worst-case admission.
 
     Returns ``(gpu_plans, infeasible_loads)``.
     """
     if merge_order not in ("best_fit", "first_fit", "worst_fit"):
         raise ValueError(f"unknown merge_order {merge_order!r}")
-    if slo_mode == "p99":
-        return _schedule_residue_p99(residuals, capacity_mode)
 
     work: list[_Residual] = []
     infeasible: list[SessionLoad] = []
@@ -580,27 +451,11 @@ def schedule_residue(
 def squishy_bin_packing(
     loads: list[SessionLoad],
     memory_capacity: int | None = None,
-    merge_order: str = "best_fit",
-    slo_mode: str = "worst_case",
-    capacity_mode: str = "analytic",
 ) -> SchedulePlan:
-    """Algorithm 1 end-to-end: saturate, then pack residues.
-
-    ``slo_mode="p99"`` swaps the residue phase's worst-case admission
-    (Equation 2) for the queueing oracle's p99 bound; ``capacity_mode``
-    selects how those oracle questions are answered (``"analytic"`` with
-    simulation fallback, or ``"simulate"``).
-    """
-    if slo_mode not in ("worst_case", "p99"):
-        raise ValueError(f"unknown slo_mode {slo_mode!r}")
-    if capacity_mode not in ("analytic", "simulate"):
-        raise ValueError(f"unknown capacity_mode {capacity_mode!r}")
-    saturated, residuals, infeasible = schedule_saturate(
-        loads, slo_mode=slo_mode
-    )
+    """Algorithm 1 end-to-end: saturate, then pack residues."""
+    saturated, residuals, infeasible = schedule_saturate(loads)
     residual_nodes, more_infeasible = schedule_residue(
-        residuals, memory_capacity=memory_capacity, merge_order=merge_order,
-        slo_mode=slo_mode, capacity_mode=capacity_mode,
+        residuals, memory_capacity=memory_capacity
     )
     return SchedulePlan(
         gpus=saturated + residual_nodes,
@@ -639,9 +494,6 @@ def _shed_to_count(
 def pack_fleet(
     loads: list[SessionLoad],
     fleet: Fleet,
-    merge_order: str = "best_fit",
-    slo_mode: str = "worst_case",
-    capacity_mode: str = "analytic",
 ) -> SchedulePlan:
     """Algorithm 1 per device class: heterogeneous squishy packing.
 
@@ -678,10 +530,7 @@ def pack_fleet(
         def pack(
             batch: list[SessionLoad], memory: int = gpu_class.mem_capacity
         ) -> SchedulePlan:
-            return squishy_bin_packing(
-                batch, memory_capacity=memory, merge_order=merge_order,
-                slo_mode=slo_mode, capacity_mode=capacity_mode,
-            )
+            return squishy_bin_packing(batch, memory_capacity=memory)
 
         plan = pack(class_loads)
         if gpu_class.count is not None and plan.num_gpus > gpu_class.count:

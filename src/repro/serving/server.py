@@ -150,11 +150,3 @@ class NexusServer:
     async def stop(self) -> None:
         self.runtime.stop()
         await self._http.close()
-
-    async def run_forever(self) -> None:
-        """start() -> serve until /v1/shutdown -> clean teardown."""
-        await self.start()
-        try:
-            await self.wait_shutdown()
-        finally:
-            await self.stop()

@@ -387,8 +387,7 @@ class _ReferenceScheduler(EpochScheduler):
                 continue  # release this backend
             candidate = GpuPlan(
                 new_allocs, node.duty_cycle_ms, saturated=node.saturated,
-                node_id=node.node_id, slo_mode=node.slo_mode,
-                capacity_mode=node.capacity_mode, device=node.device,
+                node_id=node.node_id, device=node.device,
             )
             # Overload check: evict cheapest sessions until feasible.
             while candidate.validate(self._node_memory(node)):
@@ -410,8 +409,6 @@ class _ReferenceScheduler(EpochScheduler):
                 candidate = GpuPlan(
                     rest, candidate.duty_cycle_ms,
                     saturated=candidate.saturated, node_id=candidate.node_id,
-                    slo_mode=candidate.slo_mode,
-                    capacity_mode=candidate.capacity_mode,
                     device=candidate.device,
                 )
             if candidate is not None and candidate.allocations:
@@ -497,7 +494,7 @@ def _digest(plan, ids):
     nodes = tuple(
         (
             ids.setdefault(g.node_id, len(ids)), g.duty_cycle_ms.hex(),
-            g.saturated, g.slo_mode, g.device,
+            g.saturated, g.device,
             tuple(
                 (a.session_id, a.load.rate_rps.hex(), a.batch, a.device)
                 for a in g.allocations

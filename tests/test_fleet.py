@@ -45,7 +45,6 @@ def _canonical(plan):
             tuple(sorted((a.session_id, a.batch) for a in g.allocations)),
             round(g.duty_cycle_ms, 9),
             g.saturated,
-            g.slo_mode,
         )
         for g in plan.gpus
     )

@@ -129,6 +129,50 @@ class TestInvalidPlans:
         assert isinstance(err, AssertionError)
 
 
+def _saturated_node(slo):
+    # Back-to-back batches of 16 (l = 26 ms): bound 2 * 26 = 52 ms.
+    a = load("a", slo=slo, rate=600.0)
+    plan = GpuPlan([Allocation(a, 16)], duty_cycle_ms=26.0, saturated=True)
+    return plan, 52.0
+
+
+def _lone_residual_node(slo):
+    # Batch 8 (l = 18 ms) at 200 r/s gathers in 7 / 200 s = 35 ms, well
+    # inside the 80 ms duty: bound min(80 + 18, 35 + 18) = 53 ms.
+    a = load("a", slo=slo, rate=200.0)
+    return GpuPlan([Allocation(a, 8)], duty_cycle_ms=80.0), 53.0
+
+
+def _shared_node(slo):
+    # Two members in an 80 ms duty: member a's bound is 80 + l(8) = 98 ms;
+    # b's SLO is loose, so only a's can fail.
+    a = load("a", slo=slo, rate=100.0)
+    b = load("b", slo=1000.0, rate=50.0)
+    plan = GpuPlan([Allocation(a, 8), Allocation(b, 4)], duty_cycle_ms=80.0)
+    return plan, 98.0
+
+
+@pytest.mark.parametrize("slack", [0.5, -0.5], ids=["above", "below"])
+@pytest.mark.parametrize(
+    "build", [_saturated_node, _lone_residual_node, _shared_node],
+    ids=["saturated", "lone-residual", "shared"],
+)
+def test_validate_and_plan_check_share_the_worst_case_bound(build, slack):
+    """GpuPlan.validate() and check_gpu_plan apply one section-6.1 bound:
+    both accept an SLO just above the hand-computed worst case and both
+    reject one just below it."""
+    _, bound = build(1000.0)
+    plan, _ = build(bound + slack)
+    alloc = plan.allocations[0]
+    assert plan.worst_case_ms(alloc) == pytest.approx(bound)
+    validate_fails = plan.validate() != []
+    check = check_gpu_plan(plan)
+    check_fails = "slo-headroom" in rules_of(check)
+    assert validate_fails == check_fails == (slack < 0)
+    if check_fails:
+        assert [v.session_id for v in check] == [alloc.session_id]
+
+
 class TestSchedulerIntegration:
     def test_epoch_scheduler_validates_when_enabled(self):
         sched = EpochScheduler(validate=True)

@@ -45,7 +45,7 @@ def render_plan(cluster, rates) -> list[str]:
     for gpu in plan.gpus:
         lines.append(
             f"node {gpu.node_id - first} duty={gpu.duty_cycle_ms.hex()} "
-            f"saturated={gpu.saturated} mode={gpu.slo_mode}"
+            f"saturated={gpu.saturated}"
         )
         for a in gpu.allocations:
             lines.append(

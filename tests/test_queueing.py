@@ -2,9 +2,8 @@
 
 The contract under test (docs/queueing.md): the analytic estimate tracks
 the seeded queue simulation within stated tolerances on Poisson arrivals,
-declines (and falls back) exactly when its preconditions fail, and the
-p99 planner mode built on it emits plans that validate and meet their
-tail SLOs in replay.
+declines (and falls back) exactly when its preconditions fail, and
+``max_batch_under_p99`` finds the largest cap whose tail meets the SLO.
 """
 
 import math
@@ -13,8 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.plan_check import assert_valid_plan
-from repro.core.epoch import EpochScheduler
 from repro.core.profile import LinearProfile
 from repro.core.profile_tables import ProfileTables
 from repro.core.queueing import (
@@ -27,8 +24,6 @@ from repro.core.queueing import (
     queue_latencies,
     simulate_estimate,
 )
-from repro.core.session import Session, SessionLoad
-from repro.core.squishy import squishy_bin_packing
 
 #: documented validation tolerances for Poisson arrivals at <= 0.85 of
 #: the cap-limited sustainable rate (docs/queueing.md).
@@ -39,14 +34,6 @@ P99_TOLERANCE = 0.20
 def make_profile(alpha=1.0, beta=25.0, name="m", max_batch=64):
     return LinearProfile(name=name, alpha=alpha, beta=beta,
                          max_batch=max_batch)
-
-
-def make_load(name, alpha, beta, rate, slo):
-    return SessionLoad(
-        session=Session(name, slo),
-        rate_rps=rate,
-        profile=make_profile(alpha, beta, name=name),
-    )
 
 
 class _TablesOnlyProfile:
@@ -234,108 +221,3 @@ class TestMaxBatchUnderP99:
         simulated = max_batch_under_p99(make_profile(name="s"), rate, slo,
                                         mode="simulate")
         assert analytic == simulated
-
-
-STANDARD_LOADS = [
-    ("resnet", 1.0, 25.0, 900.0, 200.0),
-    ("ssd", 2.0, 40.0, 300.0, 300.0),
-    ("tiny", 0.2, 3.0, 150.0, 40.0),
-]
-
-
-def standard_loads():
-    return [make_load(*spec) for spec in STANDARD_LOADS]
-
-
-class TestP99Planning:
-    def test_p99_plan_validates(self):
-        plan = squishy_bin_packing(standard_loads(), slo_mode="p99")
-        assert plan.validate() == []
-        assert_valid_plan(plan, context="p99 test")
-        assert not plan.infeasible
-        for gpu in plan.gpus:
-            if gpu.slo_mode == "p99":
-                assert len(gpu.allocations) == 1
-
-    def test_analytic_and_simulate_plans_equal_on_standard_config(self):
-        analytic = squishy_bin_packing(
-            standard_loads(), slo_mode="p99", capacity_mode="analytic")
-        simulated = squishy_bin_packing(
-            standard_loads(), slo_mode="p99", capacity_mode="simulate")
-        assert analytic.num_gpus == simulated.num_gpus
-        for a, b in zip(analytic.gpus, simulated.gpus):
-            assert a.duty_cycle_ms == pytest.approx(b.duty_cycle_ms)
-            assert (
-                [(x.session_id, x.batch) for x in a.allocations]
-                == [(y.session_id, y.batch) for y in b.allocations]
-            )
-
-    def test_p99_nodes_meet_slo_in_replay(self):
-        from repro.core.queueing import _poisson_arrivals
-
-        plan = squishy_bin_packing(standard_loads(), slo_mode="p99")
-        checked = 0
-        for gpu in plan.gpus:
-            if gpu.slo_mode != "p99":
-                continue
-            alloc = gpu.allocations[0]
-            arrivals = _poisson_arrivals(alloc.load.rate_rps, 240_000.0, 3)
-            lats = sorted(queue_latencies(
-                arrivals, alloc.load.profile, alloc.batch))
-            if not lats:
-                continue
-            p99 = lats[max(0, math.ceil(0.99 * len(lats)) - 1)]
-            # Admission sits at the oracle's boundary; 10% covers oracle
-            # error plus nearest-rank quantile noise (docs/queueing.md).
-            assert p99 <= alloc.load.slo_ms * 1.10
-            checked += 1
-        assert checked > 0
-
-    def test_worst_case_mode_unchanged_by_default(self):
-        default = squishy_bin_packing(standard_loads())
-        explicit = squishy_bin_packing(standard_loads(),
-                                       slo_mode="worst_case")
-        assert default.num_gpus == explicit.num_gpus
-        for a, b in zip(default.gpus, explicit.gpus):
-            assert a.slo_mode == "worst_case" == b.slo_mode
-
-    def test_tight_session_sharded_not_split(self):
-        # 2*l(1) > SLO but l(1) <= SLO: p99 mode routes it through the
-        # oracle's residue phase (sharded dedicated nodes), not the
-        # worst-case tight-session path.
-        loads = [make_load("vtight", 8.0, 40.0, 40.0, 90.0)]
-        plan = squishy_bin_packing(loads, slo_mode="p99")
-        assert not plan.infeasible
-        assert plan.num_gpus >= 2  # sharded across dedicated nodes
-        assert plan.validate() == []
-
-    def test_bad_modes_rejected(self):
-        with pytest.raises(ValueError):
-            squishy_bin_packing(standard_loads(), slo_mode="p98")
-        with pytest.raises(ValueError):
-            squishy_bin_packing(standard_loads(), slo_mode="p99",
-                                capacity_mode="magic")
-
-
-class TestEpochIntegration:
-    def test_capacity_query_routes_by_mode(self):
-        load = make_load("m", 1.0, 25.0, 300.0, 200.0)
-        analytic = EpochScheduler(capacity_mode="analytic")
-        est = analytic.capacity_query(load, batch_cap=32)
-        assert est.source == "analytic"
-        simulated = EpochScheduler(capacity_mode="simulate")
-        est = simulated.capacity_query(load, batch_cap=32)
-        assert est.source == "simulator"
-
-    def test_p99_epoch_updates_preserve_mode(self):
-        sched = EpochScheduler(slo_mode="p99")
-        loads = standard_loads()
-        sched.update(0.0, loads)
-        for gpu in sched.plan.gpus:
-            if not gpu.saturated:
-                assert gpu.slo_mode == "p99"
-        # A second epoch with a small rate change keeps validating.
-        loads[0] = loads[0].with_rate(850.0)
-        up = sched.update(30_000.0, loads)
-        assert up.gpus_after == sched.num_gpus
-        assert_valid_plan(sched.plan, context="p99 epoch")
