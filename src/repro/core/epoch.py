@@ -19,8 +19,10 @@ incremental policy this module implements:
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -38,34 +40,207 @@ from .squishy import (
 
 __all__ = ["EpochUpdate", "EpochScheduler"]
 
-#: What the walk remembers about one plan node, by identity: the node
-#: itself (holding it pins ``id(node)``), its sort key, its session ids
-#: and its ``(session id, rate)`` pairs in allocation order.
-_NodeMemo = tuple[
-    GpuPlan, tuple[float, int], tuple[str, ...], tuple[tuple[str, float], ...]
-]
 
-_SORT_KEY = operator.itemgetter(1)
+class _Slot(NamedTuple):
+    """One node of the emitted plan, as the walk order holds it.
+
+    Slots compare as tuples: by the walk's key, ``(-occupancy, node_id)``
+    (most- to least-utilized), then by ``serial``, which is unique within
+    one index, so a comparison never reaches ``node``.
+    """
+
+    neg_occupancy: float
+    node_id: int
+    serial: int
+    node: GpuPlan
+    #: the session id of each allocation, in allocation order
+    sids: tuple[str, ...]
 
 
-def _remember(node: GpuPlan) -> _NodeMemo:
-    pairs = tuple((a.session_id, a.load.rate_rps) for a in node.allocations)
-    return (
-        node, (-node.occupancy, node.node_id),
-        tuple(sid for sid, _ in pairs), pairs,
-    )
+def _slot(node: GpuPlan, serial: int) -> _Slot:
+    sids = tuple(a.session_id for a in node.allocations)
+    return _Slot(-node.occupancy, node.node_id, serial, node, sids)
+
+
+_FIRST = operator.itemgetter(0)
+
+
+def _count_moves(dropped: list[_Slot], added: list[_Slot]) -> int:
+    """Sessions whose node-id set changed (coarse churn measure).
+
+    Diffing stable node ids -- not positions in ``plan.gpus``, which
+    re-sort every epoch -- means a session that stays put counts as zero
+    churn even when the node list reorders, and a session that retires
+    (or appears) counts as one move.  A session's node ids change exactly
+    when the ids it loses with ``dropped`` differ from those it gains with
+    ``added`` (a rebuilt node keeps its id).
+    """
+    lost: dict[str, list[int]] = {}
+    for slot in dropped:
+        for sid in slot.sids:
+            lost.setdefault(sid, []).append(slot.node_id)
+    gained: dict[str, list[int]] = {}
+    for slot in added:
+        for sid in slot.sids:
+            gained.setdefault(sid, []).append(slot.node_id)
+    moved = len(gained.keys() - lost.keys())
+    for sid, ids in lost.items():
+        if sorted(ids) != sorted(gained.get(sid, [])):
+            moved += 1
+    return moved
 
 
 class _Walk(NamedTuple):
     """One walk over the previous plan, and what it changed."""
 
     plan: SchedulePlan
-    #: memos of the nodes carried over as the same object, in walk order
-    reused: list[_NodeMemo]
-    #: previous-plan nodes rebuilt or released
-    dropped: list[GpuPlan]
-    #: new nodes: rebuilt ones and the repack of uncovered demand
+    #: previous-plan nodes carried over as the same object
+    reused: int
+    #: slots of previous-plan nodes rebuilt or released, in walk order
+    dropped: list[_Slot]
+    #: new nodes: rebuilt ones and the repack of uncovered demand, in
+    #: plan order
     added: list[GpuPlan]
+
+
+class _PlanIndex:
+    """The emitted plan as the next walk reads it.
+
+    ``slots`` lists the plan's nodes in walk order and ``nodes`` the same
+    nodes, sliced to build the next plan.  ``hosts`` maps each session to
+    one ``(slot, allocation)`` per allocation hosting it, in walk order;
+    the allocation's rate is what that host takes.
+    ``fresh`` holds the slots no walk has carried over yet, which the next
+    walk checks, and ``unstable`` the sessions whose hosts changed since
+    their demand was last computed.  ``left`` is each session's demand the
+    last walk's nodes left uncovered; ``emitted`` the plan's node list as
+    emitted, to notice a plan replaced outside the walk.  Every slot holds
+    a node of that plan.
+    """
+
+    __slots__ = (
+        "slots", "nodes", "hosts", "fresh", "unstable", "left", "emitted",
+        "_serial", "_tied",
+    )
+
+    def __init__(
+        self, gpus: list[GpuPlan] | None = None,
+        known: dict[int, _Slot] | None = None,
+    ) -> None:
+        self.unstable: list[str] = []
+        self.left: dict[str, float] = {}
+        self._build(gpus or [], known or {})
+
+    def _build(self, gpus: list[GpuPlan], known: dict[int, _Slot]) -> None:
+        """Index ``gpus`` anew, every slot fresh.  ``known`` holds
+        slots of nodes indexed before, by ``id``: their keys are reused."""
+        slots = [known.get(id(node)) or _slot(node, 0) for node in gpus]
+        # sorted() is stable: equal keys keep plan order, as in a walk
+        # that sorts the whole plan
+        order = sorted(range(len(slots)), key=lambda i: slots[i][:2])
+        self.slots = [
+            _Slot(s[0], s[1], serial, s[3], s[4])
+            for serial, s in enumerate(slots[i] for i in order)
+        ]
+        self.nodes = [slot.node for slot in self.slots]
+        self.hosts: dict[str, list[tuple[_Slot, Allocation]]] = {}
+        for slot in self.slots:
+            for sid, alloc in zip(slot.sids, slot.node.allocations):
+                self.hosts.setdefault(sid, []).append((slot, alloc))
+        self.fresh = list(self.slots)
+        self.emitted = list(gpus)
+        self._serial = len(self.slots)
+        self._tied = False
+
+    def add(self, node: GpuPlan) -> _Slot:
+        slot = _slot(node, self._serial)
+        self._serial += 1
+        slots = self.slots
+        i = bisect_right(slots, slot)
+        # Equal walk keys sort in plan order, which a new serial does not
+        # know: flag the tie and let advance() rebuild.
+        key = slot[:2]
+        if (i and slots[i - 1][:2] == key) or (
+            i < len(slots) and slots[i][:2] == key
+        ):
+            self._tied = True
+        slots.insert(i, slot)
+        self.nodes.insert(i, node)
+        for sid, alloc in zip(slot.sids, node.allocations):
+            insort(self.hosts.setdefault(sid, []), (slot, alloc), key=_FIRST)
+        return slot
+
+    def remove(self, slot: _Slot) -> None:
+        i = bisect_left(self.slots, slot)
+        del self.slots[i]
+        del self.nodes[i]
+        hosts = self.hosts
+        for sid in slot.sids:
+            entries = hosts.get(sid)
+            if entries is None:
+                continue  # a session listed twice on the node
+            entries[:] = [e for e in entries if e[0] is not slot]
+            if not entries:
+                del hosts[sid]
+
+    def advance(self, walk: _Walk, left: dict[str, float]) -> int:
+        """Carry the index over to the plan ``walk`` emitted, which left
+        ``left`` uncovered; return the sessions that moved."""
+        self.unstable = []
+        for slot in walk.dropped:
+            self.remove(slot)
+            self.unstable += slot.sids
+        self.fresh = [self.add(node) for node in walk.added]
+        moved = _count_moves(walk.dropped, self.fresh)
+        self.left = left
+        if self._tied:
+            self._build(walk.plan.gpus, self._known())
+        else:
+            self.emitted = list(walk.plan.gpus)
+        return moved
+
+    def _known(self) -> dict[int, _Slot]:
+        return {id(slot.node): slot for slot in self.slots}
+
+    def replaced_by(self, gpus: list[GpuPlan]) -> _PlanIndex:
+        """The index of a plan replaced outside the walk (``handle_failure``,
+        ``adopt`` or assignment).
+
+        When the new plan only cuts nodes out of the emitted one (a
+        failure), their slots go and their sessions become unstable.
+        Otherwise the plan is indexed afresh: a node stays settled when
+        this index had it settled and the new plan lists it once, and a
+        session whose allocations changed -- a node gone, new or listed
+        twice -- is unstable, since its leftover no longer follows from
+        its hosts.
+        """
+        kept = set(map(id, gpus))
+        if [node for node in self.emitted if id(node) in kept] == gpus:
+            for slot in [s for s in self.slots if id(s.node) not in kept]:
+                self.remove(slot)
+                self.unstable += slot.sids
+            self.fresh = [s for s in self.fresh if id(s.node) in kept]
+            self.emitted = list(gpus)
+            return self
+        new = _PlanIndex(gpus, self._known())
+        listed: dict[int, int] = {}
+        for node in gpus:
+            listed[id(node)] = listed.get(id(node), 0) + 1
+        fresh = set(map(id, self.fresh))
+        settled = {id(s.node) for s in self.slots if id(s) not in fresh}
+        new.fresh = [
+            s for s in new.slots
+            if listed[id(s.node)] != 1 or id(s.node) not in settled
+        ]
+        unstable = list(self.unstable)
+        for sid, entries in self.hosts.items():
+            now = new.hosts.get(sid, [])
+            if [a for _, a in entries] != [a for _, a in now]:
+                unstable.append(sid)
+        unstable += [sid for sid in new.hosts if sid not in self.hosts]
+        new.unstable = unstable
+        new.left = self.left
+        return new
 
 
 @dataclass
@@ -129,21 +304,13 @@ class EpochScheduler:
     _last_schedule_ms: float = -math.inf
     _last_rates: dict[str, float] = field(default_factory=dict)
 
-    # What the last walk emitted, so the next one can skip what it did not
-    # touch (see _incremental_plan).  None of it holds a node that is not
-    # in the emitted plan.
-    #: the emitted plan's nodes, to notice a plan replaced outside the walk
-    _emitted: list[GpuPlan] = field(default_factory=list, repr=False)
-    #: settled nodes -- those the last walk carried over -- by ``id``
-    _settled: dict[int, _NodeMemo] = field(default_factory=dict, repr=False)
-    #: sessions the last walk left unstable (membership tests only)
-    _unstable: set[str] = field(default_factory=set, repr=False)
+    #: the emitted plan in walk order, so the next walk visits only the
+    #: nodes a change reaches (see _incremental_plan)
+    _index: _PlanIndex = field(default_factory=_PlanIndex, repr=False)
     #: (rate, profile, session) each session had when the last walk ran
     _inputs: dict[str, tuple[float, BatchingProfile, Session]] = field(
         default_factory=dict, repr=False
     )
-    #: session -> node ids hosting it in the emitted plan
-    _hosts: dict[str, list[int]] = field(default_factory=dict, repr=False)
     #: the memory bounds the settled nodes were validated under
     _validated_under: tuple[int | None, Fleet | None] = (None, None)
 
@@ -181,14 +348,11 @@ class EpochScheduler:
         unconditionally at epoch boundaries); it records and returns the
         churn summary either way.
         """
-        gpus = self.plan.gpus
-        before = len(gpus)
-        emitted = self._emitted
-        if len(emitted) != before or not all(map(operator.is_, gpus, emitted)):
-            self._forget_replaced(gpus)
+        index = self._synced_index()
+        before = len(index.emitted)
         basis = (self.memory_capacity, self.fleet)
         if basis != self._validated_under:
-            self._settled.clear()
+            index.fresh = list(index.slots)
             self._validated_under = basis
 
         # One pass over the loads: the walk's inputs, the new rates, and
@@ -197,7 +361,7 @@ class EpochScheduler:
         inputs: dict[str, tuple[float, BatchingProfile, Session]] = {}
         by_id: dict[str, SessionLoad] = {}
         rates: dict[str, float] = {}
-        dirty = set(self._unstable)
+        dirty = list(index.unstable)
         for load in loads:
             session = load.session
             sid = session.session_id
@@ -211,11 +375,20 @@ class EpochScheduler:
                 or (seen[2] is not session and seen[2] != session)
             ):
                 seen = (rate, profile, session)
-                dirty.add(sid)
+                dirty.append(sid)
             inputs[sid] = seen
-        dirty |= last.keys() - inputs.keys()  # retired sessions
+        if not last.keys() <= inputs.keys():
+            dirty += [sid for sid in last if sid not in inputs]  # retired
+        # Each session starts from the demand the last walk left uncovered,
+        # in load order (the repack's input order); the walk starts a dirty
+        # one from its rate.
+        left = index.left
+        if list(left) == list(by_id):
+            demand = left.copy()
+        else:
+            demand = {sid: left.get(sid, 0.0) for sid in by_id}
 
-        walk = self._incremental_plan(by_id, dict(rates), self._settled, dirty)
+        walk = self._incremental_plan(index, by_id, demand, dirty)
         new_plan = walk.plan
         capped = self.max_gpus is not None and new_plan.num_gpus > self.max_gpus
         if capped:
@@ -234,24 +407,15 @@ class EpochScheduler:
         if capped:
             # The capped plan comes from probe walks over scaled loads:
             # settle nothing, so the next epoch walks every node in full.
-            kept = {id(n) for n in gpus}
+            kept = {id(n) for n in index.emitted}
             reused = sum(1 for n in new_plan.gpus if id(n) in kept)
-            moved = self._count_moves(gpus, new_plan.gpus)
-            self._settled.clear()
-            self._unstable = set()
+            self._index = _PlanIndex(new_plan.gpus)
+            self._index.left = dict(rates)
+            moved = _count_moves(index.slots, self._index.slots)
         else:
-            reused = len(walk.reused)
-            moved = self._count_moves(walk.dropped, walk.added)
-            settled = self._settled
-            unstable: set[str] = set()
-            for node in walk.dropped:
-                settled.pop(id(node), None)
-                unstable.update(a.session_id for a in node.allocations)
-            for memo in walk.reused:
-                settled[id(memo[0])] = memo
-            self._unstable = unstable
+            reused = walk.reused
+            moved = index.advance(walk, demand)
         self.plan = new_plan
-        self._emitted = list(new_plan.gpus)
         self._inputs = inputs
 
         self._epoch += 1
@@ -270,59 +434,79 @@ class EpochScheduler:
         return update
 
     def _incremental_plan(
-        self, by_id: dict[str, SessionLoad], demand: dict[str, float],
-        settled: dict[int, _NodeMemo], dirty: set[str],
+        self, index: _PlanIndex, by_id: dict[str, SessionLoad],
+        demand: dict[str, float], dirty: list[str],
     ) -> _Walk:
         """Keep feasible nodes; evict/repack only what must change.
 
-        ``by_id`` and ``demand`` map each session to its load and rate;
-        the walk consumes ``demand`` and grows ``dirty``.  A node is
-        *skipped* -- carried over with no further check -- when it is in
-        ``settled`` (the last walk carried it over as the same object) and
-        hosts no session in ``dirty``.  ``dirty`` starts as the sessions
-        whose load changed since the last walk plus the unstable ones
-        (the last walk rebuilt or released a node hosting them, or a
-        settled node hosting them has since left the plan), and every
-        node the walk does not skip adds its sessions; nodes the last walk
-        created are not settled, so they never hide behind a skip.  A
-        skipped node's
-        sessions therefore met the same nodes, in the same order, taking
-        the same rates as last epoch, and the full check below would reuse
-        the node too; the skip applies the same ``taken`` arithmetic to
-        ``demand``.  Probe walks pass an empty ``settled``.
-        """
-        kept: list[GpuPlan] = []
-        evicted: list[str] = []
-        reused: list[_NodeMemo] = []
-        dropped: list[GpuPlan] = []
-        added: list[GpuPlan] = []
+        ``by_id`` maps each session to its load, and ``demand`` to the
+        demand it starts the walk with: its rate, or for a session not in
+        ``dirty`` the leftover of the last walk.  The walk consumes
+        ``demand`` and reads ``index`` without changing it.
 
-        order = [settled.get(id(n)) or _remember(n) for n in self.plan.gpus]
+        Nodes are walked in ``index`` order, from a heap.  A node is
+        *reached* -- checked in full, and rebuilt if its contents would
+        change -- when it is fresh (no walk has carried it over) or hosts
+        a session that is *dirty*: in ``dirty`` (its load changed, it
+        retired, or its hosts changed) or on a node reached earlier in
+        this walk.  Reaching a node makes its sessions dirty and pushes
+        their later hosts.  Every other node is carried over untouched.
+        Its sessions met the same nodes, in the same order, taking the
+        same rates as last walk, so the full check would reuse the node
+        too.  A session first reached at some node starts from its rate
+        less the takes of the hosts before it, subtracted in walk order:
+        the float sequence a walk over every node performs.  A session no
+        change reaches keeps the leftover it had, bit for bit.  Probe
+        walks pass an index in which every node is fresh.
+        """
+        hosts = index.hosts
+        heap = list(index.fresh)
+        queued = set(map(id, heap))
+        for sid in dirty:
+            load = by_id.get(sid)
+            if load is not None:
+                demand[sid] = load.rate_rps
+            for slot, _ in hosts.get(sid, []):
+                if id(slot) not in queued:
+                    queued.add(id(slot))
+                    heap.append(slot)
+        heapq.heapify(heap)
+        touched = set(dirty)
+
+        dropped: list[_Slot] = []
+        replaced: list[GpuPlan | None] = []
+        added: list[GpuPlan] = []
         # Walk existing nodes from most- to least-utilized so that, when
         # demand shrinks, the least-utilized backends are the ones drained
         # (section 6.1: "the scheduler attempts to move sessions from the
         # least utilized backends to other backends").
-        order.sort(key=_SORT_KEY)
-        for memo in order:
-            node, _, sids, pairs = memo
-            if id(node) in settled and dirty.isdisjoint(sids):
-                for sid, rate in pairs:
-                    demand[sid] -= rate
-                kept.append(node)
-                reused.append(memo)
-                continue
-            dirty.update(sids)
+        while heap:
+            slot = heapq.heappop(heap)
+            node = slot.node
+            for sid in slot.sids:
+                if sid in touched:
+                    continue
+                # First reached here: every host before this one was
+                # carried over untouched.
+                touched.add(sid)
+                load = by_id.get(sid)
+                remaining = 0.0 if load is None else load.rate_rps
+                for host, alloc in hosts[sid]:
+                    if host < slot:
+                        remaining -= alloc.load.rate_rps
+                    elif id(host) not in queued:
+                        queued.add(id(host))
+                        heapq.heappush(heap, host)
+                if load is not None:
+                    demand[sid] = remaining
             # Fast path: when every allocation on this node would take
             # exactly its current rate again, the rebuild below reproduces
             # the node verbatim (same loads, batches, duty cycle), so the
             # existing GpuPlan object can be reused without reconstructing
-            # allocations or re-running the eviction loop.  This is the
-            # common case between epochs: most sessions' rates are
-            # unchanged and only a few nodes need repacking.
+            # allocations or re-running the eviction loop.
             reuse = bool(node.allocations)
             taken: dict[str, float] = {}
-            for alloc in node.allocations:
-                sid = alloc.session_id
+            for sid, alloc in zip(slot.sids, node.allocations):
                 load = alloc.load
                 cur = by_id.get(sid)
                 remaining = taken.get(sid, demand.get(sid, 0.0))
@@ -338,7 +522,8 @@ class EpochScheduler:
                 if (
                     take != load.rate_rps
                     or cur.profile is not load.profile
-                    or cur.session != load.session
+                    or (cur.session is not load.session
+                        and cur.session != load.session)
                 ):
                     reuse = False
                     break
@@ -349,14 +534,12 @@ class EpochScheduler:
             # come from skipping the allocation/GpuPlan reconstruction.
             if reuse and not node.validate(self._node_memory(node)):
                 demand.update(taken)
-                kept.append(node)
-                reused.append(_remember(node))
                 continue
 
-            dropped.append(node)
+            dropped.append(slot)
+            replaced.append(None)
             new_allocs: list[Allocation] = []
-            for alloc in node.allocations:
-                sid = alloc.session_id
+            for sid, alloc in zip(slot.sids, node.allocations):
                 if sid not in by_id:
                     continue  # session retired entirely
                 remaining = demand.get(sid, 0.0)
@@ -381,7 +564,6 @@ class EpochScheduler:
                     key=lambda i: candidate.allocations[i].exec_ms,
                 )
                 victim = candidate.allocations[cheapest]
-                evicted.append(victim.session_id)
                 demand[victim.session_id] = (
                     demand.get(victim.session_id, 0.0) + victim.load.rate_rps
                 )
@@ -397,8 +579,22 @@ class EpochScheduler:
                     device=candidate.device,
                 )
             if candidate is not None and candidate.allocations:
-                kept.append(candidate)
+                replaced[-1] = candidate
                 added.append(candidate)
+
+        # The kept nodes in walk order: the previous order with each
+        # dropped node replaced by its rebuild, or cut out.
+        nodes = index.nodes
+        slots = index.slots
+        gpus: list[GpuPlan] = []
+        start = 0
+        for slot, candidate in zip(dropped, replaced):
+            i = bisect_left(slots, slot)
+            gpus += nodes[start:i]
+            if candidate is not None:
+                gpus.append(candidate)
+            start = i + 1
+        gpus += nodes[start:]
 
         # Pack all uncovered demand (new sessions, rate growth, evictions).
         residual_loads = [
@@ -408,8 +604,9 @@ class EpochScheduler:
         ]
         extra = self._repack(residual_loads)
         added += extra.gpus
-        plan = SchedulePlan(gpus=kept + extra.gpus, infeasible=extra.infeasible)
-        return _Walk(plan, reused, dropped, added)
+        gpus += extra.gpus
+        plan = SchedulePlan(gpus=gpus, infeasible=extra.infeasible)
+        return _Walk(plan, len(slots) - len(dropped), dropped, added)
 
     def _node_memory(self, node: GpuPlan) -> int | None:
         """Memory bound for one node: its class's capacity under a fleet."""
@@ -435,11 +632,13 @@ class EpochScheduler:
         """
         assert self.max_gpus is not None
 
+        index = _PlanIndex(self.plan.gpus)
+
         def pack_at(scale: float) -> SchedulePlan:
             scaled = [l.with_rate(l.rate_rps * scale) for l in loads]
             by_id = {l.session_id: l for l in scaled}
             demand = {l.session_id: l.rate_rps for l in scaled}
-            return self._incremental_plan(by_id, demand, {}, set()).plan
+            return self._incremental_plan(index, by_id, demand, []).plan
 
         lo, hi = 0.02, 1.0
         best = pack_at(lo)
@@ -508,61 +707,18 @@ class EpochScheduler:
             return 1.0 if self.plan.num_gpus == 0 else math.inf
         return self.plan.num_gpus / fresh
 
-    def _forget_replaced(self, gpus: list[GpuPlan]) -> None:
-        """The plan was replaced outside the walk (``handle_failure``,
-        ``adopt`` or assignment): re-index it and unsettle what changed.
+    def _synced_index(self) -> _PlanIndex:
+        """The index of ``self.plan``, re-indexed if the plan was replaced
+        outside the walk (``handle_failure``, ``adopt`` or assignment).
 
-        A settled node that vanished leaves its sessions unstable, since
-        the next node hosting them now sees more demand; a node listed
-        twice is not settled.  Nodes the last walk did not emit never were.
+        List equality compares by identity first, so this is one C-level
+        pass; a node swapped for an equal copy counts as the same node.
         """
-        listed: dict[int, int] = {}
-        hosts: dict[str, list[int]] = {}
-        for node in gpus:
-            listed[id(node)] = listed.get(id(node), 0) + 1
-            for alloc in node.allocations:
-                hosts.setdefault(alloc.session_id, []).append(node.node_id)
-        settled = self._settled
-        for key, memo in list(settled.items()):
-            times = listed.get(key, 0)
-            if times != 1:
-                del settled[key]
-            if times == 0:
-                self._unstable.update(memo[2])
-        self._hosts = hosts
-        self._emitted = list(gpus)
-
-    def _count_moves(self, dropped: list[GpuPlan], added: list[GpuPlan]) -> int:
-        """Sessions whose node-id set changed (coarse churn measure).
-
-        Diffing stable node ids -- not positions in ``plan.gpus``, which
-        re-sort every epoch -- means a session that stays put counts as
-        zero churn even when the node list reorders, and a session that
-        retires (or appears) counts as one move.  Only sessions on a
-        dropped or added node can move, so the session -> node-id index
-        is patched for those nodes alone.
-        """
-        hosts = self._hosts
-        before: dict[str, tuple[int, ...]] = {}
-        for node in dropped + added:
-            for alloc in node.allocations:
-                sid = alloc.session_id
-                if sid not in before:
-                    before[sid] = tuple(sorted(hosts.get(sid, ())))
-        for node in dropped:
-            for alloc in node.allocations:
-                hosts[alloc.session_id].remove(node.node_id)
-        for node in added:
-            for alloc in node.allocations:
-                hosts.setdefault(alloc.session_id, []).append(node.node_id)
-        moved = 0
-        for sid, was in before.items():
-            now = hosts[sid]
-            if not now:
-                del hosts[sid]
-            if tuple(sorted(now)) != was:
-                moved += 1
-        return moved
+        index = self._index
+        gpus = self.plan.gpus
+        if gpus != index.emitted:
+            index = self._index = index.replaced_by(gpus)
+        return index
 
     def capacity_rps(self, session_id: str) -> float:
         return self.plan.capacity_rps(session_id)

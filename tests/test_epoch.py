@@ -1,5 +1,6 @@
 """Tests for the incremental epoch scheduler (core/epoch.py)."""
 
+import operator
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.plan_check import PlanCheckError, assert_valid_plan
-from repro.core.epoch import EpochScheduler, EpochUpdate
+from repro.core.epoch import EpochScheduler, EpochUpdate, _PlanIndex
 from repro.core.fleet import Fleet, GpuClass
 from repro.core.profile import LinearProfile
 from repro.core.session import Session, SessionLoad
@@ -627,11 +628,11 @@ class TestSkipPerturbations:
                         LinearProfile(name="t", alpha=1.0, beta=t_beta))
         return s, t
 
-    def _run(self, loads_per_epoch):
+    def _run(self, loads_per_epoch, each=lambda sched: None):
         fast, ref = EpochScheduler(), _ReferenceScheduler()
         fast_ids: dict[int, int] = {}
         ref_ids: dict[int, int] = {}
-        s, t = loads_per_epoch[0]
+        s, t = loads_per_epoch[0][:2]
         for sched in (fast, ref):
             shared = GpuPlan([Allocation(s.with_rate(10.0), 1),
                               Allocation(t.with_rate(10.0), 1)], 100.0)
@@ -642,6 +643,7 @@ class TestSkipPerturbations:
             up_ref = ref.update(epoch * 30_000.0, loads)
             assert _update_fields(up_fast) == _update_fields(up_ref)
             assert _digest(fast.plan, fast_ids) == _digest(ref.plan, ref_ids)
+            each(fast)
         return fast
 
     def test_rebuilt_node_that_resorts_unsettles_its_sessions(self):
@@ -679,6 +681,45 @@ class TestSkipPerturbations:
             assert _update_fields(up_fast) == _update_fields(up_ref)
             assert _digest(fast.plan, fast_ids) == _digest(ref.plan, ref_ids)
         assert fast.num_gpus == 2
+
+    def test_infeasible_session_beside_unchanged_ones(self):
+        """x cannot meet its SLO even at batch 1, so it is never placed:
+        it is a clean session with no hosts, and its whole rate must be
+        listed infeasible every epoch, from the leftover the walk carries
+        over -- also while a neighbour's redraws rebuild nodes."""
+        s, t = self._pair()
+        x = SessionLoad(Session("x", 20.0), 30.0,
+                        LinearProfile(name="x", alpha=1.0, beta=25.0))
+
+        def x_listed(sched):
+            assert [(l.session_id, l.rate_rps) for l in sched.plan.infeasible] == [
+                ("x@20ms", 30.0)
+            ]
+
+        self._run([
+            [s, t, x], [s, t, x], [s, t.with_rate(12.0), x],
+            [s, t.with_rate(12.0), x], [s, t.with_rate(4.0), x],
+            [s, t.with_rate(4.0), x],
+        ], each=x_listed)
+
+    def test_rebuild_that_ties_a_kept_node_sorts_in_plan_order(self):
+        """A plan lists node N twice.  The first copy takes 20 of s's 25
+        rps and is rebuilt with N's id and batches, so with N's key; the
+        second copy keeps its 5 rps and is reused.  Equal keys sort in
+        plan order, so next epoch the rebuild comes first again."""
+        s = SessionLoad(Session("s", 200.0), 25.0,
+                        LinearProfile(name="s", alpha=1.0, beta=10.0))
+        fast, ref = EpochScheduler(), _ReferenceScheduler()
+        fast_ids: dict[int, int] = {}
+        ref_ids: dict[int, int] = {}
+        for sched in (fast, ref):
+            node = GpuPlan([Allocation(s.with_rate(5.0), 1)], 50.0)
+            sched.adopt(SchedulePlan([node, node]), 0.0, [s])
+        for epoch in range(1, 4):
+            up_fast = fast.update(epoch * 30_000.0, [s])
+            up_ref = ref.update(epoch * 30_000.0, [s])
+            assert _update_fields(up_fast) == _update_fields(up_ref)
+            assert _digest(fast.plan, fast_ids) == _digest(ref.plan, ref_ids)
 
     def test_plan_listing_a_settled_node_twice(self):
         """A plan assigned from outside may list one node object twice;
@@ -755,23 +796,102 @@ class TestSkipIsRealAndBounded:
         s.update(90_000.0, loads)
         assert 0 < len(validate_calls) < s.num_gpus // 10
 
+    def test_walk_touches_only_what_a_change_reaches(self, monkeypatch):
+        """The walk reads plan nodes only through its index: the fresh
+        slots and the host lists of the sessions a change reaches.  An
+        unchanged epoch reads none; a three-session redraw a handful."""
+        touched: set[int] = set()
+
+        class CountingHosts(dict):
+            def __getitem__(self, sid):
+                entries = super().__getitem__(sid)
+                touched.update(id(slot.node) for slot, _ in entries)
+                return entries
+
+            def get(self, sid, default=None):
+                entries = super().get(sid, default)
+                touched.update(id(slot.node) for slot, _ in entries or ())
+                return entries
+
+        real = EpochScheduler._incremental_plan
+
+        def counting(self, index, by_id, demand, dirty):
+            hosts = index.hosts
+            index.hosts = CountingHosts(hosts)
+            touched.update(id(slot.node) for slot in index.fresh)
+            try:
+                return real(self, index, by_id, demand, dirty)
+            finally:
+                index.hosts = hosts
+
+        rng = random.Random(1)
+        loads = _ledger_loads()
+        s = EpochScheduler()
+        for epoch in range(3):
+            s.update(epoch * 30_000.0, loads)
+        monkeypatch.setattr(EpochScheduler, "_incremental_plan", counting)
+        s.update(90_000.0, loads)
+        assert touched == set()
+        _redraw(rng, loads)
+        s.update(120_000.0, loads)
+        assert 0 < len(touched) < s.num_gpus // 10
+
     def test_memo_never_outgrows_the_plan(self):
+        """The kept order and the session -> hosts index always describe
+        the emitted plan, after updates, failures, adoptions and plain
+        assignments, and hold no node or session beyond it."""
         rng = random.Random(2)
         loads = _ledger_loads()
         s = EpochScheduler()
+
+        def hosts(slots):
+            out: dict[str, list[tuple[int, int]]] = {}
+            for slot in slots:
+                for sid, alloc in zip(slot.sids, slot.node.allocations):
+                    out.setdefault(sid, []).append((id(slot.node), id(alloc)))
+            return out
+
+        def check(full=True):
+            """Every epoch: the index lists exactly the plan's nodes, in
+            slot order, and its host lists follow that order.  With
+            ``full``, also that the order and keys equal a fresh rebuild
+            (which recomputes every node's occupancy)."""
+            index = s._synced_index()
+            assert sorted(map(id, index.nodes)) == sorted(map(id, s.plan.gpus))
+            assert all(map(operator.is_, index.nodes,
+                           [slot.node for slot in index.slots]))
+            assert index.slots == sorted(index.slots)
+            assert {
+                sid: [(id(slot.node), id(alloc)) for slot, alloc in entries]
+                for sid, entries in index.hosts.items()
+            } == hosts(index.slots)
+            slots = {id(slot) for slot in index.slots}
+            assert all(id(slot) in slots for slot in index.fresh)
+            assert index.left.keys() <= {l.session_id for l in loads}
+            if full:
+                rebuilt = _PlanIndex(s.plan.gpus)
+                assert all(map(operator.is_, index.nodes, rebuilt.nodes))
+                assert [slot[:2] + slot[4:] for slot in index.slots] == [
+                    slot[:2] + slot[4:] for slot in rebuilt.slots
+                ]
+
         s.update(0.0, loads)
+        check()
         for epoch in range(1, 1001):
             _redraw(rng, loads)
             now = epoch * 30_000.0
             s.update(now, loads)
+            check(full=epoch % 10 == 0)
             if epoch % 100 == 0:
                 dead = [s.plan.gpus[rng.randrange(s.num_gpus)].node_id]
                 s.handle_failure(now + 1.0, dead, loads)
+                check()
                 s.adopt(s.plan, now + 2.0, loads)
-            in_plan = {id(n) for n in s.plan.gpus}
-            assert len(s._settled) <= s.num_gpus
-            assert all(id(m[0]) in in_plan for m in s._settled.values())
-            assert len(s._emitted) == s.num_gpus
+                check()
+            if epoch % 250 == 0:
+                gpus = s.plan.gpus
+                s.plan = SchedulePlan(gpus[1:] + gpus[:2], s.plan.infeasible)
+                check()
 
 
 class TestDrift:
