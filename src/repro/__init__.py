@@ -22,7 +22,6 @@ from .cluster import (
     ClusterConfig,
     ClusterResult,
     NexusCluster,
-    find_max_rate,
 )
 from .core import (
     BatchingProfile,
@@ -49,7 +48,6 @@ __all__ = [
     "ClusterConfig",
     "ClusterResult",
     "NexusCluster",
-    "find_max_rate",
     "BatchingProfile",
     "EarlyDropPolicy",
     "LatencySplit",

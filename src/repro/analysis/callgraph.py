@@ -41,7 +41,9 @@ __all__ = [
     "CallGraph",
     "build_call_graph",
     "build_call_graph_from_paths",
+    "dotted_name",
     "module_name_for",
+    "terminal_name",
 ]
 
 #: recursion guard for base-class walks (layout cycles are user error).
@@ -344,8 +346,8 @@ class CallGraph:
 # ------------------------------------------------------------ collection
 
 
-def _dotted_text(node: ast.expr) -> str | None:
-    """``a.b.c`` (names/attributes only) -> ``"a.b.c"``."""
+def dotted_name(node: ast.expr) -> str | None:
+    """``a.b.c`` (names/attributes only) -> ``"a.b.c"``; None otherwise."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -356,7 +358,10 @@ def _dotted_text(node: ast.expr) -> str | None:
     return None
 
 
-def _terminal_text(node: ast.expr) -> str | None:
+def terminal_name(node: ast.expr) -> str | None:
+    """The rightmost identifier of a name/attribute/call expression."""
+    if isinstance(node, ast.Call):
+        return terminal_name(node.func)
     if isinstance(node, ast.Attribute):
         return node.attr
     if isinstance(node, ast.Name):
@@ -410,7 +415,7 @@ def _ctor_class_ref(value: ast.expr) -> str | None:
     """
     if not isinstance(value, ast.Call):
         return None
-    raw = _dotted_text(value.func)
+    raw = dotted_name(value.func)
     if raw is None:
         return None
     terminal = raw.rsplit(".", 1)[-1]
@@ -469,10 +474,10 @@ class _FunctionWalker:
         if isinstance(node, (ast.Lambda,)):
             return  # deferred body: calls do not happen here
         if isinstance(node, ast.Call):
-            raw = _dotted_text(node.func)
+            raw = dotted_name(node.func)
             self.fn.calls.append(CallSite(
                 raw=raw,
-                terminal=_terminal_text(node.func),
+                terminal=terminal_name(node.func),
                 lineno=node.lineno,
                 col=node.col_offset + 1,
                 awaited=awaited,
@@ -543,7 +548,7 @@ def _collect_scope(
                 name=stmt.name,
                 bases=[
                     ref for ref in
-                    (_dotted_text(base) for base in stmt.bases)
+                    (dotted_name(base) for base in stmt.bases)
                     if ref is not None
                 ],
             )

@@ -124,20 +124,29 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .callgraph import build_call_graph, module_name_for
+from .callgraph import (
+    build_call_graph,
+    dotted_name,
+    module_name_for,
+    terminal_name,
+)
 
 __all__ = [
     "Finding",
     "RULES",
     "all_rules",
     "lint_source",
-    "lint_file",
     "lint_paths",
     "load_baseline",
     "apply_baseline",
     "write_baseline",
+    "add_arguments",
+    "run",
     "main",
 ]
+
+#: one-line summary shown by ``--help``.
+DESCRIPTION = "nexuslint: determinism / SLO-safety static analysis"
 
 # --------------------------------------------------------------- rule table
 
@@ -175,19 +184,41 @@ def all_rules() -> dict[str, str]:
     return {**RULES, **ASYNC_RULES}
 
 #: path components that mark deterministic planning code.
-_PLANNING_PARTS = frozenset({"core", "cluster", "simulation"})
-#: path components whose code owns request lifecycle state.
-_LIFECYCLE_PARTS = frozenset({"cluster"})
-#: path components where batch-size scans must go through the
-#: precomputed lookup tables (the planning hot path).
-_PROFILE_SCAN_PARTS = frozenset({"core"})
-#: planner inner-loop files (under ``core/``) where capacity questions
-#: must route through the queueing oracle, never a direct simulator.
-_PLANNER_LOOP_FILES = frozenset({"epoch.py", "squishy.py"})
-#: path components where raw numeric time literals are banned (the code
-#: that runs under both the simulator and wall clocks, where an unnamed
-#: ``50`` can silently be ms in one driver and s in another).
-_TIME_LITERAL_PARTS = frozenset({"serving", "cluster"})
+_PLANNING = frozenset({"core", "cluster", "simulation"})
+
+#: rule -> (directories, file names) where it applies: a file with one of
+#: the directories among its path components and, when names are given,
+#: one of those names.  Rules not listed apply everywhere.
+_RULE_SCOPES: dict[str, tuple[frozenset[str], frozenset[str] | None]] = {
+    "wall-clock": (_PLANNING, None),
+    "unseeded-random": (_PLANNING, None),
+    "unordered-iteration": (_PLANNING, None),
+    "raw-gpu-count-literal": (_PLANNING, None),
+    # the code that owns request lifecycle state
+    "untraced-mutation": (frozenset({"cluster"}), None),
+    # the planning hot path, where batch-size scans must bisect tables
+    "unmemoized-profile-scan": (frozenset({"core"}), None),
+    # the planner's inner loop, where capacity questions must route
+    # through the queueing oracle, never a direct simulator
+    "sim-in-planner-inner-loop": (
+        frozenset({"core"}), frozenset({"epoch.py", "squishy.py"}),
+    ),
+    # the code that runs under both the simulator and wall clocks, where
+    # an unnamed ``50`` can silently be ms in one driver and s in another
+    "raw-time-literal": (frozenset({"serving", "cluster"}), None),
+}
+
+
+def _rules_in_scope(rel_path: Path) -> frozenset[str]:
+    """The per-file rules that apply to a file at ``rel_path``."""
+    parts = set(rel_path.parts[:-1])
+    in_scope = set(RULES)
+    for rule, (dirs, names) in _RULE_SCOPES.items():
+        if not parts & dirs or (names is not None
+                                and rel_path.name not in names):
+            in_scope.discard(rule)
+    return frozenset(in_scope)
+
 
 # wall-clock: dotted callables that read host time.
 _CLOCK_CALLS = frozenset({
@@ -312,24 +343,10 @@ def _parse_suppressions(source: str) -> list[_Directive]:
     return directives
 
 
-def _suppression_tables(
-    directives: list[_Directive],
-) -> tuple[dict[int, frozenset[str]], frozenset[str]]:
-    """Directives -> (per-line rules, file-wide rules) lookup tables."""
-    per_line: dict[int, frozenset[str]] = {}
-    file_wide: set[str] = set()
-    for d in directives:
-        if d.file_wide:
-            file_wide.update(d.rules)
-        else:
-            per_line[d.lineno] = per_line.get(d.lineno, frozenset()) | d.rules
-    return per_line, frozenset(file_wide)
-
-
 def _invalid_suppression_findings(
     path: str,
     directives: list[_Directive],
-    raw_rules_by_line: dict[int, set[str]],
+    raw: list[Finding],
     check_unused: bool,
 ) -> list[Finding]:
     """The ``invalid-suppression`` rule: unknown slugs in any directive,
@@ -340,6 +357,9 @@ def _invalid_suppression_findings(
     the per-file entry point leaves it to the project driver.
     """
     known = set(all_rules()) | {"all"}
+    raw_rules_by_line: dict[int, set[str]] = {}
+    for f in raw:
+        raw_rules_by_line.setdefault(f.line, set()).add(f.rule)
     findings: list[Finding] = []
     for d in directives:
         unknown = sorted(d.rules - known)
@@ -369,58 +389,45 @@ def _invalid_suppression_findings(
     return findings
 
 
-def _suppressed(rule: str, line: int,
-                per_line: dict[int, frozenset[str]],
-                file_wide: frozenset[str]) -> bool:
-    if "all" in file_wide or rule in file_wide:
-        return True
-    at_line = per_line.get(line, frozenset())
-    return "all" in at_line or rule in at_line
+def _suppress(
+    path: str, source: str, raw: list[Finding], check_unused: bool,
+) -> list[Finding]:
+    """Apply the file's ``# nexuslint:`` directives to its raw findings:
+    drop the waived ones and add the ``invalid-suppression`` findings
+    (themselves waivable) for the directives."""
+    directives = _parse_suppressions(source)
+    per_line: dict[int, frozenset[str]] = {}
+    file_wide: set[str] = set()
+    for d in directives:
+        if d.file_wide:
+            file_wide.update(d.rules)
+        else:
+            per_line[d.lineno] = per_line.get(d.lineno, frozenset()) | d.rules
+
+    def waived(f: Finding) -> bool:
+        at_line = per_line.get(f.line, frozenset())
+        return bool({"all", f.rule} & (file_wide | at_line))
+
+    invalid = _invalid_suppression_findings(path, directives, raw,
+                                            check_unused)
+    return [f for f in raw + invalid if not waived(f)]
 
 
 # ------------------------------------------------------------- AST helpers
 
 
-def _dotted_name(node: ast.expr) -> str | None:
-    """``a.b.c`` -> ``"a.b.c"``; None for non-name chains."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _terminal_name(node: ast.expr) -> str | None:
-    """The rightmost identifier of a name/attribute/call expression."""
-    if isinstance(node, ast.Call):
-        return _terminal_name(node.func)
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 def _unit_suffix(node: ast.expr) -> str | None:
     """The unit suffix of a name-like operand (``exec_ms`` -> ``"ms"``)."""
-    name = _terminal_name(node)
+    name = terminal_name(node)
     if name is None or "_" not in name:
         return None
     suffix = name.rsplit("_", 1)[-1]
     return suffix if suffix in _UNIT_SUFFIXES else None
 
 
-def _is_float_literal(node: ast.expr) -> bool:
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        node = node.operand
-    return isinstance(node, ast.Constant) and isinstance(node.value, float)
-
-
-def _numeric_literal(node: ast.expr) -> float | None:
-    """The value of a (possibly sign-wrapped) int/float literal, else None."""
+def _literal(node: ast.expr) -> int | float | None:
+    """The value of an int/float literal, ignoring a leading ``-`` or
+    ``+``; None for anything else (bools included)."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         node = node.operand
     if (
@@ -428,13 +435,13 @@ def _numeric_literal(node: ast.expr) -> float | None:
         and isinstance(node.value, (int, float))
         and not isinstance(node.value, bool)
     ):
-        return float(node.value)
+        return node.value
     return None
 
 
 def _bare_time_literal(node: ast.expr) -> bool:
     """A numeric literal big enough to be a duration, not an epsilon."""
-    value = _numeric_literal(node)
+    value = _literal(node)
     return value is not None and abs(value) >= _EPSILON_FLOOR
 
 
@@ -444,7 +451,7 @@ def _time_suffix(node: ast.expr) -> str | None:
 
 
 def _is_quantity_name(node: ast.expr) -> bool:
-    name = _terminal_name(node)
+    name = terminal_name(node)
     if name is None:
         return False
     lowered = name.lower()
@@ -509,14 +516,8 @@ def _mentions_gpus(node: ast.expr) -> bool:
 
 def _bare_gpu_count_literal(node: ast.expr) -> bool:
     """An int literal big enough to encode a cluster size."""
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        node = node.operand
-    return (
-        isinstance(node, ast.Constant)
-        and isinstance(node.value, int)
-        and not isinstance(node.value, bool)
-        and node.value >= _GPU_LITERAL_FLOOR
-    )
+    value = _literal(node)
+    return isinstance(value, int) and value >= _GPU_LITERAL_FLOOR
 
 
 def _is_dict_view_or_set(node: ast.expr) -> bool:
@@ -536,15 +537,9 @@ def _is_dict_view_or_set(node: ast.expr) -> bool:
 class _Linter(ast.NodeVisitor):
     """Single-pass visitor evaluating every applicable rule."""
 
-    def __init__(self, path: str, planning: bool, lifecycle: bool,
-                 profile_scan: bool = False, planner_loop: bool = False,
-                 time_literals: bool = False):
+    def __init__(self, path: str, rel_path: Path):
         self.path = path
-        self.planning = planning
-        self.lifecycle = lifecycle
-        self.profile_scan = profile_scan
-        self.planner_loop = planner_loop
-        self.time_literals = time_literals
+        self.rules = _rules_in_scope(rel_path)
         self.findings: list[Finding] = []
 
     # ------------------------------------------------------------ plumbing
@@ -561,17 +556,18 @@ class _Linter(ast.NodeVisitor):
     # --------------------------------------------------------- determinism
 
     def visit_Call(self, node: ast.Call) -> None:
-        if self.planning:
+        if "wall-clock" in self.rules:
             self._check_wall_clock(node)
+        if "unseeded-random" in self.rules:
             self._check_unseeded_random(node)
-        if self.planner_loop:
+        if "sim-in-planner-inner-loop" in self.rules:
             self._check_sim_in_planner(node)
-        if self.time_literals:
+        if "raw-time-literal" in self.rules:
             self._check_scheduling_literal(node)
         self.generic_visit(node)
 
     def _check_scheduling_literal(self, node: ast.Call) -> None:
-        name = _terminal_name(node.func)
+        name = terminal_name(node.func)
         if name not in _SCHEDULING_CALLS:
             return
         # Only the first argument is a delay or instant; later ones are a
@@ -584,7 +580,7 @@ class _Linter(ast.NodeVisitor):
             )
 
     def _check_sim_in_planner(self, node: ast.Call) -> None:
-        name = _terminal_name(node.func)
+        name = terminal_name(node.func)
         if name is None:
             return
         if name.startswith("simulate") or name.endswith("Simulator"):
@@ -597,7 +593,7 @@ class _Linter(ast.NodeVisitor):
             )
 
     def _check_wall_clock(self, node: ast.Call) -> None:
-        dotted = _dotted_name(node.func)
+        dotted = dotted_name(node.func)
         if dotted is not None and dotted in _CLOCK_CALLS:
             self._report(
                 node, "wall-clock",
@@ -606,7 +602,7 @@ class _Linter(ast.NodeVisitor):
             )
 
     def _check_unseeded_random(self, node: ast.Call) -> None:
-        dotted = _dotted_name(node.func)
+        dotted = dotted_name(node.func)
         if dotted is None:
             return
         parts = dotted.split(".")
@@ -644,9 +640,9 @@ class _Linter(ast.NodeVisitor):
                 )
 
     def visit_For(self, node: ast.For) -> None:
-        if self.planning:
+        if "unordered-iteration" in self.rules:
             self._check_unordered_iteration(node.iter)
-        if self.profile_scan:
+        if "unmemoized-profile-scan" in self.rules:
             self._check_profile_scan(node)
         self.generic_visit(node)
 
@@ -678,7 +674,7 @@ class _Linter(ast.NodeVisitor):
                 return
 
     def visit_comprehension(self, node: ast.comprehension) -> None:
-        if self.planning:
+        if "unordered-iteration" in self.rules:
             self._check_unordered_iteration(node.iter)
         self.generic_visit(node)
 
@@ -701,9 +697,9 @@ class _Linter(ast.NodeVisitor):
                 op, (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
             ):
                 self._check_mixed_units(node, left, right)
-                if self.time_literals:
+                if "raw-time-literal" in self.rules:
                     self._check_time_literal_pair(node, left, right)
-                if self.planning:
+                if "raw-gpu-count-literal" in self.rules:
                     self._check_gpu_count_literal(node, left, right)
         self.generic_visit(node)
 
@@ -722,7 +718,7 @@ class _Linter(ast.NodeVisitor):
                 return
 
     def visit_While(self, node: ast.While) -> None:
-        if self.planning:
+        if "raw-gpu-count-literal" in self.rules:
             self._check_gpu_search_cap(node.test)
         self.generic_visit(node)
 
@@ -764,7 +760,8 @@ class _Linter(ast.NodeVisitor):
     def _check_float_equality(
         self, node: ast.Compare, left: ast.expr, right: ast.expr
     ) -> None:
-        literal = _is_float_literal(left) or _is_float_literal(right)
+        literal = (isinstance(_literal(left), float)
+                   or isinstance(_literal(right), float))
         quantities = _is_quantity_name(left) and _is_quantity_name(right)
         if literal or quantities:
             self._report(
@@ -776,9 +773,11 @@ class _Linter(ast.NodeVisitor):
     def visit_BinOp(self, node: ast.BinOp) -> None:
         if isinstance(node.op, (ast.Add, ast.Sub)):
             self._check_mixed_units(node, node.left, node.right)
-            if self.time_literals:
+            if "raw-time-literal" in self.rules:
                 self._check_time_literal_pair(node, node.left, node.right)
-        elif self.time_literals and isinstance(node.op, (ast.Mult, ast.Div)):
+        elif "raw-time-literal" in self.rules and isinstance(
+            node.op, (ast.Mult, ast.Div)
+        ):
             self._check_conversion_literal(node)
         self.generic_visit(node)
 
@@ -787,7 +786,7 @@ class _Linter(ast.NodeVisitor):
         for suffixed, other in (
             (node.left, node.right), (node.right, node.left)
         ):
-            value = _numeric_literal(other)
+            value = _literal(other)
             if (
                 _time_suffix(suffixed) is not None
                 and value is not None
@@ -813,15 +812,14 @@ class _Linter(ast.NodeVisitor):
 
     # ------------------------------------------------ observability contract
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        if self.lifecycle:
+    def visit_FunctionDef(
+        self, node: ast.FunctionDef | ast.AsyncFunctionDef
+    ) -> None:
+        if "untraced-mutation" in self.rules:
             self._check_untraced_mutation(node)
         self.generic_visit(node)
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        if self.lifecycle:
-            self._check_untraced_mutation(node)
-        self.generic_visit(node)
+    visit_AsyncFunctionDef = visit_FunctionDef
 
     def _check_untraced_mutation(
         self, node: ast.FunctionDef | ast.AsyncFunctionDef
@@ -847,7 +845,7 @@ class _Linter(ast.NodeVisitor):
                     ):
                         mutates = True
             if isinstance(child, ast.Call):
-                callee = _terminal_name(child.func)
+                callee = terminal_name(child.func)
                 if callee in _OUTCOME_CALLBACKS:
                     mutates = True
                 if self._emits_trace(child):
@@ -864,7 +862,7 @@ class _Linter(ast.NodeVisitor):
     def _emits_trace(call: ast.Call) -> bool:
         func = call.func
         if isinstance(func, ast.Attribute):
-            owner = _terminal_name(func.value)
+            owner = terminal_name(func.value)
             if owner is not None and "tracer" in owner:
                 return True
             name = func.attr
@@ -880,17 +878,6 @@ class _Linter(ast.NodeVisitor):
 # --------------------------------------------------------------- front end
 
 
-def _scopes_for(rel_path: Path) -> tuple[bool, bool, bool, bool, bool]:
-    parts = set(rel_path.parts[:-1])
-    return (
-        bool(parts & _PLANNING_PARTS),
-        bool(parts & _LIFECYCLE_PARTS),
-        bool(parts & _PROFILE_SCAN_PARTS),
-        "core" in parts and rel_path.name in _PLANNER_LOOP_FILES,
-        bool(parts & _TIME_LITERAL_PARTS),
-    )
-
-
 def lint_source(
     source: str,
     path: str = "<string>",
@@ -902,35 +889,13 @@ def lint_source(
     ``SyntaxError`` on unparsable input).  Unknown rule slugs in
     directives are reported here; unused-suppression detection needs the
     whole-program pass and lives in :func:`lint_paths`."""
-    planning, lifecycle, profile_scan, planner_loop, time_literals = (
-        _scopes_for(rel_path or Path(path))
-    )
-    directives = _parse_suppressions(source)
-    per_line, file_wide = _suppression_tables(directives)
     tree = ast.parse(source, filename=path)
-    visitor = _Linter(path, planning=planning, lifecycle=lifecycle,
-                      profile_scan=profile_scan, planner_loop=planner_loop,
-                      time_literals=time_literals)
+    visitor = _Linter(path, rel_path or Path(path))
     visitor.visit(tree)
-    raw = visitor.findings + _invalid_suppression_findings(
-        path, directives, raw_rules_by_line={}, check_unused=False,
-    )
-    findings = [
-        f for f in raw
-        if not _suppressed(f.rule, f.line, per_line, file_wide)
-    ]
+    findings = _suppress(path, source, visitor.findings, check_unused=False)
     if rules is not None:
         findings = [f for f in findings if f.rule in rules]
     return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))
-
-
-def lint_file(
-    path: Path, root: Path | None = None,
-    rules: frozenset[str] | None = None,
-) -> list[Finding]:
-    rel = path.relative_to(root) if root is not None else path
-    source = path.read_text(encoding="utf-8")
-    return lint_source(source, path=str(path), rel_path=rel, rules=rules)
 
 
 def _iter_python_files(target: Path) -> Iterator[Path]:
@@ -975,14 +940,7 @@ def lint_paths(
     # applied after the merge so directive validation sees everything).
     raw_by_file: dict[str, list[Finding]] = {}
     for file, rel, _module, tree, _source in units:
-        planning, lifecycle, profile_scan, planner_loop, time_literals = (
-            _scopes_for(rel)
-        )
-        visitor = _Linter(
-            str(file), planning=planning, lifecycle=lifecycle,
-            profile_scan=profile_scan, planner_loop=planner_loop,
-            time_literals=time_literals,
-        )
+        visitor = _Linter(str(file), rel)
         visitor.visit(tree)
         raw_by_file[str(file)] = visitor.findings
 
@@ -995,25 +953,11 @@ def lint_paths(
 
     # Merge, apply suppressions, validate directives.
     findings: list[Finding] = []
-    for file, rel, _module, _tree, source in units:
+    for file, _rel, _module, _tree, source in units:
         key = str(file)
-        raw = raw_by_file.get(key, [])
-        directives = _parse_suppressions(source)
-        per_line, file_wide = _suppression_tables(directives)
-        kept = [
-            f for f in raw
-            if not _suppressed(f.rule, f.line, per_line, file_wide)
-        ]
-        raw_rules_by_line: dict[int, set[str]] = {}
-        for f in raw:
-            raw_rules_by_line.setdefault(f.line, set()).add(f.rule)
-        invalid = [
-            f for f in _invalid_suppression_findings(
-                key, directives, raw_rules_by_line, check_unused=True,
-            )
-            if not _suppressed(f.rule, f.line, per_line, file_wide)
-        ]
-        findings.extend(kept + invalid)
+        findings.extend(_suppress(
+            key, source, raw_by_file.get(key, []), check_unused=True,
+        ))
 
     if rules is not None:
         findings = [f for f in findings if f.rule in rules]
@@ -1088,11 +1032,9 @@ def _default_target() -> Path:
     return Path(repro.__file__).resolve().parent
 
 
-def main(argv: Iterable[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="nexuslint: determinism / SLO-safety static analysis",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the lint flags on ``parser`` (this module's own parser and
+    the ``repro lint`` subcommand share them); :func:`run` reads them."""
     parser.add_argument(
         "paths", nargs="*", type=Path,
         help="files or directories to lint (default: the repro package)",
@@ -1121,8 +1063,11 @@ def main(argv: Iterable[str] | None = None) -> int:
         "--json-out", type=Path, default=None, metavar="FILE",
         help="also write a JSON findings artifact (post-baseline)",
     )
-    args = parser.parse_args(list(argv) if argv is not None else None)
 
+
+def run(args: argparse.Namespace) -> int:
+    """Lint with the flags of :func:`add_arguments`; returns the exit
+    status (0 clean, 1 findings, 2 bad input)."""
     registry = all_rules()
     if args.list_rules:
         for slug, description in registry.items():
@@ -1206,6 +1151,12 @@ def main(argv: Iterable[str] | None = None) -> int:
         print(f"nexuslint: {len(findings)} finding(s)", file=sys.stderr)
         return 1
     return 0
+
+
+def main(argv: Iterable[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(prog="repro lint", description=DESCRIPTION)
+    add_arguments(parser)
+    return run(parser.parse_args(list(argv) if argv is not None else None))
 
 
 if __name__ == "__main__":

@@ -41,6 +41,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .analysis import lint
+
 __all__ = ["main", "build_parser"]
 
 #: Experiments runnable from the CLI, with quick-mode overrides.
@@ -95,12 +97,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("experiments", help="list reproducible tables/figures")
+    sub.add_parser(
+        "experiments", help="list reproducible tables/figures",
+    ).set_defaults(run=_cmd_experiments)
 
     run = sub.add_parser("run", help="regenerate one table/figure")
     run.add_argument("experiment", choices=sorted(_EXPERIMENTS))
     run.add_argument("--quick", action="store_true",
                      help="scaled-down parameters (minutes -> seconds)")
+    run.set_defaults(run=_cmd_run)
 
     fr = sub.add_parser(
         "fault-recovery",
@@ -115,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     fr.add_argument("--duration", type=float, default=120_000.0,
                     metavar="MS", help="run length (virtual ms)")
     fr.add_argument("--seed", type=int, default=0)
+    fr.set_defaults(run=_cmd_fault_recovery)
 
     ov = sub.add_parser(
         "oracle-validation",
@@ -126,6 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     ov.add_argument("--quick", action="store_true",
                     help="shorter streams (noisier quantiles; for smoke "
                          "runs)")
+    ov.set_defaults(run=_cmd_oracle_validation)
 
     mf = sub.add_parser(
         "mixed-fleet",
@@ -139,6 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "unbounded; default: gtx1080ti:16 k80:16 t4:4)")
     mf.add_argument("--no-stage-placement", action="store_true",
                     help="skip the PPipe-style per-stage placement rows")
+    mf.set_defaults(run=_cmd_mixed_fleet)
 
     mega = sub.add_parser(
         "megascale",
@@ -164,8 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
     mega.add_argument("--quick", action="store_true",
                       help="small smoke configuration (64 GPUs, 12 "
                            "sessions, 2 shards, 8s day)")
+    mega.set_defaults(run=_cmd_megascale)
 
-    sub.add_parser("models", help="show the model zoo")
+    sub.add_parser(
+        "models", help="show the model zoo",
+    ).set_defaults(run=_cmd_models)
 
     prof = sub.add_parser("profile", help="print a model's batching profile")
     prof.add_argument("model", help="zoo name, e.g. resnet50 or "
@@ -173,6 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--device", default="gtx1080ti")
     prof.add_argument("--batches", default="1,2,4,8,16,32",
                       help="comma-separated batch sizes")
+    prof.set_defaults(run=_cmd_profile)
 
     plan = sub.add_parser("plan", help="capacity-plan a session workload")
     plan.add_argument("sessions", nargs="+",
@@ -181,29 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--device", default="gtx1080ti")
     plan.add_argument("--exact", action="store_true",
                       help="also solve exactly (small workloads only)")
+    plan.set_defaults(run=_cmd_plan)
 
-    lint = sub.add_parser(
-        "lint",
-        help="nexuslint: determinism / SLO-safety static analysis",
+    lint_cmd = sub.add_parser(
+        "lint", help=lint.DESCRIPTION, description=lint.DESCRIPTION,
     )
-    lint.add_argument("paths", nargs="*",
-                      help="files or directories (default: the repro "
-                           "package source)")
-    lint.add_argument("--rules", default=None, metavar="R1,R2",
-                      help="comma-separated subset of rules")
-    lint.add_argument("--format", choices=("text", "json", "github"),
-                      default="text", dest="lint_format",
-                      help="findings output format (github = workflow "
-                           "annotations)")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule registry and exit")
-    lint.add_argument("--baseline", default=None, metavar="FILE",
-                      help="ratchet file: recorded findings are waived, "
-                           "new ones fail")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="regenerate --baseline from current findings")
-    lint.add_argument("--json-out", default=None, metavar="FILE",
-                      help="also write a JSON findings artifact")
+    lint.add_arguments(lint_cmd)
+    lint_cmd.set_defaults(run=lint.run)
 
     serve = sub.add_parser(
         "serve",
@@ -225,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--dynamic", action="store_true",
                        help="re-plan every epoch from observed load")
     serve.add_argument("--seed", type=int, default=0)
+    serve.set_defaults(run=_cmd_serve)
 
     lg = sub.add_parser(
         "loadgen",
@@ -256,13 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the full report as JSON")
     lg.add_argument("--shutdown", action="store_true",
                     help="POST /v1/shutdown after the run (CI smoke)")
+    lg.set_defaults(run=_cmd_loadgen)
 
     return parser
 
 
-def _cmd_experiments() -> int:
-    from .experiments import __doc__ as doc
-
+def _cmd_experiments(args: argparse.Namespace) -> int:
     print("reproducible artifacts (run with: python -m repro run <name>):")
     for name in sorted(_EXPERIMENTS):
         quick = " [--quick available]" if _EXPERIMENTS[name] else ""
@@ -272,11 +268,12 @@ def _cmd_experiments() -> int:
     return 0
 
 
-def _cmd_run(name: str, quick: bool) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     import importlib
 
+    name = args.experiment
     module = importlib.import_module(f"repro.experiments.{name}")
-    kwargs = _EXPERIMENTS[name].get("quick", {}) if quick else {}
+    kwargs = _EXPERIMENTS[name].get("quick", {}) if args.quick else {}
     result = module.run(**kwargs)
     # Some experiments return (table, structured output); print the table.
     if isinstance(result, tuple):
@@ -285,29 +282,29 @@ def _cmd_run(name: str, quick: bool) -> int:
     return 0
 
 
-def _cmd_megascale(gpus: int, sessions: int, shards: int, duration_s: float,
-                   base_rps: float, workers: int | None, seed: int,
-                   quick: bool) -> int:
+def _cmd_megascale(args: argparse.Namespace) -> int:
     from .experiments.megascale import run
 
-    if quick:
+    gpus, sessions, shards, duration_s = (
+        args.gpus, args.sessions, args.shards, args.duration,
+    )
+    if args.quick:
         gpus, sessions, shards, duration_s = 64, 12, 2, 8.0
     table = run(
         gpus=gpus, sessions=sessions, shards=shards,
-        duration_s=duration_s, seed=seed, workers=workers,
-        base_rps=base_rps,
+        duration_s=duration_s, seed=args.seed, workers=args.workers,
+        base_rps=args.base_rps,
     )
     print(table)
     return 0
 
 
-def _cmd_fault_recovery(gpus: int, kill: int, kill_at_ms: float,
-                        duration_ms: float, seed: int) -> int:
+def _cmd_fault_recovery(args: argparse.Namespace) -> int:
     from .experiments.fault_recovery import run
 
     table, output = run(
-        duration_ms=duration_ms, kill_at_ms=kill_at_ms, kill=kill,
-        gpus=gpus, seed=seed,
+        duration_ms=args.duration, kill_at_ms=args.kill_at, kill=args.kill,
+        gpus=args.gpus, seed=args.seed,
     )
     print(table)
     det = output.detection_ms
@@ -322,27 +319,26 @@ def _cmd_fault_recovery(gpus: int, kill: int, kill_at_ms: float,
     return 0
 
 
-def _cmd_oracle_validation(duration_ms: float, seed: int,
-                           quick: bool) -> int:
+def _cmd_oracle_validation(args: argparse.Namespace) -> int:
     from .experiments.common import format_table
     from .experiments.oracle_validation import run
 
-    if quick:
+    duration_ms = args.duration
+    if args.quick:
         duration_ms = min(duration_ms, 20_000.0)
-    result = run(duration_ms=duration_ms, seed=seed)
+    result = run(duration_ms=duration_ms, seed=args.seed)
     print(format_table(result.name, result.columns, result.rows,
                        result.notes))
     return 0
 
 
-def _cmd_mixed_fleet(classes: list[str] | None,
-                     no_stage_placement: bool) -> int:
+def _cmd_mixed_fleet(args: argparse.Namespace) -> int:
     from .experiments.mixed_fleet import run
 
     counts: dict[str, int | None] | None = None
-    if classes:
+    if args.classes:
         counts = {}
-        for spec in classes:
+        for spec in args.classes:
             try:
                 name, count_s = spec.rsplit(":", 1)
                 counts[name] = None if count_s == "-" else int(count_s)
@@ -351,11 +347,11 @@ def _cmd_mixed_fleet(classes: list[str] | None,
                       file=sys.stderr)
                 return 2
     print(run(counts=counts,
-              include_stage_placement=not no_stage_placement))
+              include_stage_placement=not args.no_stage_placement))
     return 0
 
 
-def _cmd_models() -> int:
+def _cmd_models(args: argparse.Namespace) -> int:
     from .experiments.common import format_table
     from .models.zoo import MODEL_BUILDERS, get_model
 
@@ -375,13 +371,14 @@ def _cmd_models() -> int:
     return 0
 
 
-def _cmd_profile(model: str, device: str, batches: str) -> int:
+def _cmd_profile(args: argparse.Namespace) -> int:
     from .experiments.common import format_table
     from .models.profiler import profile
 
+    model, device = args.model, args.device
     prof = profile(model, device)
     rows = []
-    for b in (int(x) for x in batches.split(",")):
+    for b in (int(x) for x in args.batches.split(",")):
         if b < 1 or b > prof.max_batch:
             continue
         rows.append([b, round(prof.latency(b), 3),
@@ -394,14 +391,15 @@ def _cmd_profile(model: str, device: str, batches: str) -> int:
     return 0
 
 
-def _cmd_plan(sessions: list[str], device: str, exact: bool) -> int:
+def _cmd_plan(args: argparse.Namespace) -> int:
     from .core import Session, SessionLoad, squishy_bin_packing
     from .core.ilp import exact_min_gpus
     from .core.profile import EffectiveProfile
     from .models.profiler import profile
 
+    device = args.device
     loads = []
-    for spec in sessions:
+    for spec in args.sessions:
         try:
             model, slo_s, rate_s = spec.rsplit(":", 2)
             slo, rate = float(slo_s), float(rate_s)
@@ -426,49 +424,27 @@ def _cmd_plan(sessions: list[str], device: str, exact: bool) -> int:
         print(f"  INFEASIBLE: {load.session_id} "
               f"(l(1)={load.profile.latency(1):.1f} ms vs "
               f"SLO {load.slo_ms:.0f} ms)")
-    if exact:
+    if args.exact:
         optimum = exact_min_gpus(loads)
         print(f"exact optimum: {optimum.num_gpus} GPUs")
     return 0
 
 
-def _cmd_lint(paths: list[str], rules: str | None, fmt: str,
-              list_rules: bool, baseline: str | None,
-              write_baseline: bool, json_out: str | None) -> int:
-    from .analysis.lint import main as lint_main
-
-    argv = list(paths)
-    if rules:
-        argv += ["--rules", rules]
-    if fmt != "text":
-        argv += ["--format", fmt]
-    if list_rules:
-        argv += ["--list-rules"]
-    if baseline:
-        argv += ["--baseline", baseline]
-    if write_baseline:
-        argv += ["--write-baseline"]
-    if json_out:
-        argv += ["--json-out", json_out]
-    return lint_main(argv)
-
-
-def _cmd_serve(host: str, port: int, apps: list[str] | None, device: str,
-               gpus: int | None, epoch_ms: float, dynamic: bool,
-               seed: int) -> int:
+def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .cluster.nexus import ClusterConfig
     from .serving import NexusServer, parse_app_spec
 
+    host, device = args.host, args.device
     cfg = ClusterConfig(
-        device=device, max_gpus=gpus, epoch_ms=epoch_ms, seed=seed,
-        dynamic=dynamic, expand_to_cluster=False,
+        device=device, max_gpus=args.gpus, epoch_ms=args.epoch_ms,
+        seed=args.seed, dynamic=args.dynamic, expand_to_cluster=False,
     )
 
     async def _run() -> int:
-        server = NexusServer(cfg, host=host, port=port, dynamic=dynamic)
-        for spec in apps or ["lenet5:50:30000"]:
+        server = NexusServer(cfg, host=host, port=args.port)
+        for spec in args.apps or ["lenet5:50:30000"]:
             query, rate, arrival = parse_app_spec(spec, device)
             server.runtime.add_app(query, rate, arrival)
         bound = await server.start()
@@ -495,23 +471,23 @@ def _cmd_serve(host: str, port: int, apps: list[str] | None, device: str,
         return 0
 
 
-def _cmd_loadgen(host: str, port: int, app: str, rate: float,
-                 duration_s: float, connections: int, arrival: str,
-                 seed: int, wait_ready_s: float,
-                 min_achieved_rps: float | None,
-                 min_goodput_rps: float | None,
-                 report_json: str | None, shutdown: bool) -> int:
+def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
     from .serving.loadgen import run_loadgen, wait_ready
 
+    host, port = args.host, args.port
+    min_achieved_rps = args.min_achieved_rps
+    min_goodput_rps = args.min_goodput_rps
+
     async def _run() -> tuple[int, dict]:
-        if wait_ready_s > 0:
-            await wait_ready(host, port, timeout_s=wait_ready_s)
+        if args.wait_ready_s > 0:
+            await wait_ready(host, port, timeout_s=args.wait_ready_s)
         report = await run_loadgen(
-            host, port, app, rate, duration_s,
-            connections=connections, arrival=arrival, seed=seed,
+            host, port, args.app, args.rate, args.duration_s,
+            connections=args.connections, arrival=args.arrival,
+            seed=args.seed,
         )
         print(report.summary())
         status = 0
@@ -532,7 +508,7 @@ def _cmd_loadgen(host: str, port: int, app: str, rate: float,
                     file=sys.stderr,
                 )
                 status = 1
-        if shutdown:
+        if args.shutdown:
             try:
                 reader, writer = await asyncio.open_connection(host, port)
                 writer.write(
@@ -551,55 +527,17 @@ def _cmd_loadgen(host: str, port: int, app: str, rate: float,
     # synchronous file I/O inside the coroutine would stall the very
     # connections the loadgen is still draining.
     status, payload = asyncio.run(_run())
-    if report_json:
-        with open(report_json, "w", encoding="utf-8") as fh:
+    if args.report_json:
+        with open(args.report_json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
-        print(f"report -> {report_json}", file=sys.stderr)
+        print(f"report -> {args.report_json}", file=sys.stderr)
     return status
-
-
-def _dispatch(args) -> int:
-    if args.command == "experiments":
-        return _cmd_experiments()
-    if args.command == "run":
-        return _cmd_run(args.experiment, args.quick)
-    if args.command == "fault-recovery":
-        return _cmd_fault_recovery(args.gpus, args.kill, args.kill_at,
-                                   args.duration, args.seed)
-    if args.command == "oracle-validation":
-        return _cmd_oracle_validation(args.duration, args.seed, args.quick)
-    if args.command == "mixed-fleet":
-        return _cmd_mixed_fleet(args.classes, args.no_stage_placement)
-    if args.command == "megascale":
-        return _cmd_megascale(args.gpus, args.sessions, args.shards,
-                              args.duration, args.base_rps, args.workers,
-                              args.seed, args.quick)
-    if args.command == "models":
-        return _cmd_models()
-    if args.command == "profile":
-        return _cmd_profile(args.model, args.device, args.batches)
-    if args.command == "plan":
-        return _cmd_plan(args.sessions, args.device, args.exact)
-    if args.command == "lint":
-        return _cmd_lint(args.paths, args.rules, args.lint_format,
-                         args.list_rules, args.baseline,
-                         args.write_baseline, args.json_out)
-    if args.command == "serve":
-        return _cmd_serve(args.host, args.port, args.apps, args.device,
-                          args.gpus, args.epoch_ms, args.dynamic, args.seed)
-    if args.command == "loadgen":
-        return _cmd_loadgen(args.host, args.port, args.app, args.rate,
-                            args.duration_s, args.connections, args.arrival,
-                            args.seed, args.wait_ready_s,
-                            args.min_achieved_rps, args.min_goodput_rps,
-                            args.report_json, args.shutdown)
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if not (args.trace_out or args.metrics_out or args.trace_csv):
-        return _dispatch(args)
+        return args.run(args)
 
     from .observability import (
         capture_trace,
@@ -619,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
 
     with capture_trace() as buffer:
-        status = _dispatch(args)
+        status = args.run(args)
     if args.trace_out:
         write_chrome_trace(buffer.events, args.trace_out)
         print(f"trace: {len(buffer.events)} events -> {args.trace_out}",

@@ -16,7 +16,6 @@ from .nexus import (
     ClusterResult,
     NexusCluster,
     equivalence_report,
-    find_max_rate,
 )
 
 __all__ = [
@@ -39,6 +38,5 @@ __all__ = [
     "ClusterConfig",
     "ClusterResult",
     "NexusCluster",
-    "find_max_rate",
     "equivalence_report",
 ]

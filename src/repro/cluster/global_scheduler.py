@@ -53,10 +53,6 @@ class PoolConfig:
     overlap: bool = True
     drop_policy: str = "early"
     interference_factor: float = 0.0
-    #: charge PCIe model-load latency when a session is newly placed on a
-    #: backend (section 2.2); the load time derives from the profile's
-    #: resident weight bytes at ~12 GB/s plus framework init.
-    model_loads: bool = True
     #: pace each session to its planned duty cycle (Nexus's GPU scheduler);
     #: baselines execute as soon as the GPU frees up.
     paced: bool = True
@@ -174,12 +170,13 @@ class BackendPool:
                     # waiting longer than (SLO - batch latency) between
                     # executions guarantees misses regardless of load.
                     duty = min(duty, max(0.0, alloc.load.slo_ms - alloc.exec_ms))
-                load_ms = 0.0
-                if self.config.model_loads:
-                    load_ms = (
-                        50.0
-                        + alloc.load.profile.memory_model_bytes / 12e9 * 1000.0
-                    )
+                # PCIe model load for a newly placed session (section
+                # 2.2): resident weight bytes at ~12 GB/s plus framework
+                # init.
+                load_ms = (
+                    50.0
+                    + alloc.load.profile.memory_model_bytes / 12e9 * 1000.0
+                )
                 specs.append(
                     BackendSession(
                         session_id=alloc.session_id,

@@ -73,6 +73,16 @@ _DRAIN_GRACE_MS = 1_000.0
 #: short on large clusters (the old ``hi < 64`` bug).
 _EXPAND_SCALE_SLACK = 4.0
 
+#: extra planning margin for non-root query stages: their arrivals come
+#: in pulses (a whole upstream batch completes at once), so they need
+#: more frequent, smaller batches than a smooth-arrival plan would pick.
+#: Planning them against a tighter SLO buys exactly that.
+_CHILD_SLO_MARGIN = 0.35
+
+#: query splits feed the real scheduler, so each stage's budget covers
+#: the section 4.1 worst case: twice its batch latency.
+_QA_WORST_CASE_FACTOR = 2.0
+
 #: ``(member model ids, device) -> (prefix profile, suffix profiles,
 #: prefix_len)``: a fused family's profiling is a pure function of its
 #: membership, so epoch re-plans look it up instead of re-deriving it.
@@ -119,13 +129,6 @@ class ClusterConfig:
     #: plan sessions against (1 - slo_margin) x their latency budget so the
     #: runtime has jitter room; request deadlines still use the full budget.
     slo_margin: float = 0.1
-    #: extra margin for non-root query stages: their arrivals come in
-    #: pulses (a whole upstream batch completes at once), so they need
-    #: more frequent, smaller batches than a smooth-arrival plan would
-    #: pick.  Planning them against a tighter SLO buys exactly that.
-    child_slo_margin: float = 0.35
-    qa_epsilon_ms: float = 5.0
-    qa_worst_case_factor: float = 2.0
     epoch_ms: float = 30_000.0
     dynamic: bool = False               # re-plan each epoch from observed load
     #: frontend replicas; the paper's frontend is distributed and a cluster
@@ -382,8 +385,7 @@ class NexusCluster:
         alive, so their ids cannot be reused while it stands.
         """
         cfg = self.config
-        key = (id(app), id(app.query), cfg.overlap, cfg.query_analysis,
-               cfg.qa_worst_case_factor, cfg.qa_epsilon_ms)
+        key = (id(app), id(app.query), cfg.overlap, cfg.query_analysis)
         hit = self._app_memo.get(key)
         if hit is not None:
             return hit
@@ -395,15 +397,13 @@ class NexusCluster:
         # depend on it, and a session's rate is ``rate * mult``.
         eff_query = self._effective_query(query)
         even = even_split(
-            eff_query, 1.0, worst_case_factor=cfg.qa_worst_case_factor,
+            eff_query, 1.0, worst_case_factor=_QA_WORST_CASE_FACTOR,
         )
         dp = None
         if cfg.query_analysis and len(query.stages()) > 1:
             try:
                 dp = plan_query(
-                    eff_query, 1.0,
-                    epsilon_ms=cfg.qa_epsilon_ms,
-                    worst_case_factor=cfg.qa_worst_case_factor,
+                    eff_query, 1.0, worst_case_factor=_QA_WORST_CASE_FACTOR,
                 )
             except ValueError:
                 dp = None
@@ -460,7 +460,7 @@ class NexusCluster:
         slo = load.session.slo_ms
         margin = cfg.slo_margin
         if load.session_id in self._child_sessions:
-            margin = max(margin, cfg.child_slo_margin)
+            margin = max(margin, _CHILD_SLO_MARGIN)
         tightened = slo * (1.0 - margin)
         if 2.0 * profile.latency(1) > tightened:
             # Session can't afford the cushion: plan against the full SLO
@@ -660,10 +660,10 @@ class NexusCluster:
             return squishy_bin_packing(scaled, memory_capacity=memory)
 
         lo, hi = 1.0, 2.0
-        scale_cap = _EXPAND_SCALE_SLACK * max_gpus
-        while pack_at(hi).num_gpus <= max_gpus and hi < scale_cap:
-            lo, hi = hi, hi * 2
         best = plan
+        scale_cap = _EXPAND_SCALE_SLACK * max_gpus
+        while (cand := pack_at(hi)).num_gpus <= max_gpus and hi < scale_cap:
+            lo, hi, best = hi, hi * 2, cand
         for _ in range(10):
             mid = (lo + hi) / 2
             cand = pack_at(mid)
@@ -904,43 +904,3 @@ class NexusCluster:
 
         core.install_epoch_loop(cfg.epoch_ms, on_tick, until_ms=duration_ms)
         return monitor
-
-
-def find_max_rate(
-    make_cluster: Callable[[float], "NexusCluster"],
-    base_rates: dict[str, float],
-    target_good_rate: float = 0.99,
-    duration_ms: float = 20_000.0,
-    warmup_ms: float = 2_000.0,
-    lo_scale: float = 0.05,
-    hi_scale: float = 4.0,
-    iterations: int = 8,
-) -> tuple[float, ClusterResult | None]:
-    """Binary-search the workload scale keeping query good rate >= target.
-
-    The paper's throughput metric at cluster level.  ``make_cluster`` is a
-    ``scale -> NexusCluster`` factory that declares apps with rates
-    ``scale * base_rates[app]`` (and plans for them).
-
-    Returns ``(max_total_rps, result_at_max)``.
-    """
-    total_base = sum(base_rates.values())
-
-    def attempt(scale: float) -> tuple[bool, ClusterResult]:
-        cluster = make_cluster(scale)
-        result = cluster.run(duration_ms, warmup_ms)
-        return result.good_rate >= target_good_rate, result
-
-    ok_lo, res_lo = attempt(lo_scale)
-    if not ok_lo:
-        return 0.0, res_lo
-    lo, hi = lo_scale, hi_scale
-    best = res_lo
-    for _ in range(iterations):
-        mid = (lo + hi) / 2.0
-        ok, res = attempt(mid)
-        if ok:
-            lo, best = mid, res
-        else:
-            hi = mid
-    return lo * total_base, best

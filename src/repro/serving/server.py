@@ -44,7 +44,6 @@ class NexusServer:
         config: ClusterConfig | None = None,
         host: str = "127.0.0.1",
         port: int = 8642,
-        dynamic: bool = False,
         trace: bool = False,
         loop: asyncio.AbstractEventLoop | None = None,
     ) -> None:
@@ -53,7 +52,6 @@ class NexusServer:
         self.runtime = ServingRuntime(self.events, config, trace=trace)
         self.host = host
         self.port = port
-        self.dynamic = dynamic
         self._http = HttpServer(self.loop)
         self._install_routes()
         self._shutdown = self.loop.create_future()
@@ -134,7 +132,7 @@ class NexusServer:
         """Deploy registered apps, start control loops, bind the socket."""
         if self.runtime.planner.apps:
             self.runtime.deploy()
-        if self.dynamic:
+        if self.runtime.config.dynamic:
             self.runtime.start_epoch_loop()
         self.runtime.core.install_heartbeat(
             self.runtime.config.heartbeat_ms,

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import _EXPERIMENTS, build_parser, main
@@ -21,6 +23,32 @@ class TestParser:
         for name in _EXPERIMENTS:
             module = importlib.import_module(f"repro.experiments.{name}")
             assert callable(module.run)
+
+
+class TestHandlers:
+    def test_every_subcommand_has_a_handler(self):
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert subparsers.choices
+        for name, sub in subparsers.choices.items():
+            assert callable(sub.get_default("run")), name
+
+    def test_lint_help_is_the_lint_modules(self, capsys):
+        """``repro lint`` declares no flag of its own: its help is the
+        one ``python -m repro.analysis.lint --help`` prints."""
+        from repro.analysis import lint
+
+        helps = []
+        for entry, argv in ((main, ["lint", "--help"]),
+                            (lint.main, ["--help"])):
+            with pytest.raises(SystemExit) as exc:
+                entry(argv)
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert "--baseline" in helps[0] and "--json-out" in helps[0]
+        assert helps[0] == helps[1]
 
 
 class TestCommands:

@@ -368,39 +368,34 @@ class TestDistributedFrontend:
         assert good > 0.95
 
 
-class TestFindMaxRate:
-    def test_scales_declared_rates(self):
-        from repro.cluster.nexus import find_max_rate
+class TestMaxRateSearch:
+    def test_finds_a_sustainable_rate(self):
+        from repro.experiments.common import max_rate_search
 
-        base = {"traffic0": 100.0}
-
-        def factory(scale):
+        def factory(rate):
             cfg = ClusterConfig(device="gtx1080ti", max_gpus=8)
             cluster = NexusCluster(cfg)
-            cluster.add_query(traffic_query(cfg.device),
-                              rate_rps=base["traffic0"] * scale)
+            cluster.add_query(traffic_query(cfg.device), rate_rps=rate)
             return cluster
 
-        rate, result = find_max_rate(
-            factory, base, duration_ms=3_000.0, warmup_ms=500.0,
-            iterations=3, lo_scale=0.1, hi_scale=4.0,
+        rate = max_rate_search(
+            factory, lo_rps=10.0, hi_rps=400.0, iterations=3,
+            duration_ms=3_000.0, warmup_ms=500.0,
         )
-        assert rate > 0
-        assert result is not None
+        assert 10.0 < rate < 400.0
 
     def test_returns_zero_when_even_floor_fails(self):
-        from repro.cluster.nexus import find_max_rate
+        from repro.experiments.common import max_rate_search
 
-        def factory(scale):
+        def factory(rate):
             cfg = ClusterConfig(device="gtx1080ti", max_gpus=1,
                                 expand_to_cluster=False)
             cluster = NexusCluster(cfg)
             cluster.add_query(traffic_query(cfg.device), rate_rps=5_000.0)
             return cluster
 
-        rate, _ = find_max_rate(factory, {"q": 5_000.0},
-                                duration_ms=2_000.0, warmup_ms=500.0,
-                                iterations=2, lo_scale=1.0)
+        rate = max_rate_search(factory, lo_rps=5_000.0, iterations=2,
+                               duration_ms=2_000.0, warmup_ms=500.0)
         assert rate == 0.0
 
 

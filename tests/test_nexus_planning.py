@@ -78,6 +78,21 @@ class TestShrinkAndExpand:
             assert (big_plan.capacity_rps(load.session_id)
                     >= small_plan.capacity_rps(load.session_id) * 0.99)
 
+    def test_expand_keeps_the_last_doubling_that_fits(self):
+        """Two saturated GPUs in a 4-GPU cluster: scale 2 fills it exactly
+        and every bisection midpoint above it overflows, so the scale-2
+        plan is the answer, not the unscaled one."""
+        from repro.core import Session, SessionLoad
+
+        prof = LinearProfile(name="p", alpha=1.0, beta=10.0, max_batch=64)
+        load = SessionLoad(Session("p", 100.0), 1_600.0, prof)
+        plan = squishy.squishy_bin_packing([load])
+        assert plan.num_gpus == 2
+        expanded = NexusCluster._expand([load], plan, None, 4)
+        assert expanded.num_gpus == 4
+        assert expanded.capacity_rps(load.session_id) > plan.capacity_rps(
+            load.session_id)
+
     def test_dynamic_mode_never_expands(self):
         c = cluster_with(rate=30.0, dynamic=True)
         assert c.plan().num_gpus < 8
@@ -202,7 +217,6 @@ class TestPerAppSplitsAreRecomputedWhenTheirInputsChange:
     @pytest.mark.parametrize("field, value", [
         ("overlap", False),
         ("query_analysis", False),
-        ("qa_worst_case_factor", 1.0),
         ("slo_margin", 0.2),
     ])
     def test_a_config_field_flipped_between_plans(self, field, value):
