@@ -38,7 +38,7 @@ def main() -> None:
               f"occupancy {gpu.occupancy:.0%} -> {allocs}")
     print("latency split:", {
         stage: f"{budget:.0f} ms"
-        for stage, budget in cluster._splits[query.name].items()
+        for stage, budget in cluster.splits[query.name].items()
     })
 
     # 4. Serve traffic for 20 virtual seconds (2 s warmup excluded).

@@ -31,7 +31,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 __all__ = [
     "CallSite",
@@ -369,7 +369,25 @@ def terminal_name(node: ast.expr) -> str | None:
     return None
 
 
-def _collect_imports(module: ModuleInfo, tree: ast.Module) -> None:
+def _script_relative(
+    module_name: str, name: str, known: Container[str] | None
+) -> str:
+    """Absolute import ``name`` as seen from a bare-tree module: in
+    ``core/srv.py``, ``util`` is the sibling ``core.util`` unless the
+    tree has a top-level ``util``.  ``known``: the tree's module names and
+    their dotted prefixes (``None`` in a package)."""
+    if known is None:
+        return name
+    prefix = module_name.rpartition(".")[0]
+    top = name.split(".", 1)[0]
+    if not prefix or top in known or f"{prefix}.{top}" not in known:
+        return name
+    return f"{prefix}.{name}"
+
+
+def _collect_imports(
+    module: ModuleInfo, tree: ast.Module, known: Container[str] | None,
+) -> None:
     """Merge every import binding in the file (any scope) into one table.
 
     Function-local imports are how this codebase breaks package cycles,
@@ -381,13 +399,17 @@ def _collect_imports(module: ModuleInfo, tree: ast.Module) -> None:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname is not None:
-                    module.imports[alias.asname] = alias.name
+                    module.imports[alias.asname] = _script_relative(
+                        module.name, alias.name, known
+                    )
                 else:
                     top = alias.name.split(".", 1)[0]
-                    module.imports.setdefault(top, top)
+                    module.imports.setdefault(
+                        top, _script_relative(module.name, top, known)
+                    )
         elif isinstance(node, ast.ImportFrom):
             if node.level == 0:
-                base = node.module or ""
+                base = _script_relative(module.name, node.module or "", known)
             else:
                 parts = module.name.split(".")
                 if not module.is_package:
@@ -618,8 +640,14 @@ def build_call_graph(
         )
         graph.modules[module_name] = module
         collected.append((module, tree, path, rel_path))
+    known = {
+        ".".join(parts[:i])
+        for parts in (name.split(".") for name in graph.modules)
+        for i in range(1, len(parts) + 1)
+    }
     for module, tree, path, rel_path in collected:
-        _collect_imports(module, tree)
+        bare = not (path.parent / "__init__.py").exists()
+        _collect_imports(module, tree, known if bare else None)
         _collect_scope(
             graph, module, tree.body, str(path), rel_path,
             qual_prefix=module.name, class_info=None, parent_fn=None,

@@ -220,11 +220,10 @@ class Frontend:
         #: re-dispatches after backend failures / terminal retry drops.
         self.retries = 0
         self.retry_drops = 0
-        #: observed per-session arrival counters for workload statistics
-        #: (the control plane reads and resets these each epoch).
-        self.session_counters: dict[str, int] = {}
-        #: observed per-query arrival counters (whole queries, counted at
-        #: submission -- robust to source-stage roots that never dispatch).
+        #: observed per-query arrival counters for workload statistics
+        #: (whole queries, counted at submission -- robust to source-stage
+        #: roots that never dispatch); the control plane reads and resets
+        #: them each epoch.
         self.query_counters: dict[str, int] = {}
         #: interned "<query>/<stage>" ids, built once per (query, stage)
         #: instead of formatting a fresh string per dispatched request.
@@ -244,9 +243,6 @@ class Frontend:
         serving frontend stores its per-request completion future there).
         """
         now = self.sim.now
-        self.session_counters[session_id] = (
-            self.session_counters.get(session_id, 0) + 1
-        )
         backend, resolved = self.routing.pick_resolved(session_id)
         request = Request(
             session_id=resolved,
@@ -320,8 +316,6 @@ class Frontend:
             instance.stage_done(stage, now, True)
             return
         session_id = self._stage_session_id(instance, stage)
-        counters = self.session_counters
-        counters[session_id] = counters.get(session_id, 0) + 1
         backend, resolved = self.routing.pick_resolved(session_id)
         budget = self._stage_budget(instance, stage)
         # The stage's own deadline: its latency split, but never beyond the
@@ -452,11 +446,6 @@ class Frontend:
             instance.on_done(instance)
 
     # ------------------------------------------------------------ workload
-
-    def read_and_reset_counters(self) -> dict[str, int]:
-        counters = self.session_counters
-        self.session_counters = {}
-        return counters
 
     def read_and_reset_query_counters(self) -> dict[str, int]:
         counters = self.query_counters

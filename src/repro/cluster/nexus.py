@@ -27,7 +27,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..core.epoch import EpochScheduler
 from ..core.fleet import Fleet, assign_classes
@@ -50,16 +50,18 @@ from ..metrics.collector import MetricsCollector
 from ..models import get_device, get_model, prefix_suffix_profiles
 from ..models import profile as profile_on
 from ..observability.events import TraceEvent
-from ..runtime.core import RuntimeCore
 from ..simulation.simulator import Simulator
 from ..workloads.arrivals import poisson_arrivals, uniform_arrivals
 from .faults import FaultInjector, FaultPlan
-from .frontend import Frontend, RetryPolicy
-from .global_scheduler import HeartbeatMonitor, PoolConfig
+from .frontend import Frontend
+from .global_scheduler import HeartbeatMonitor
+
+if TYPE_CHECKING:  # repro.serving imports this module
+    from ..serving.runtime import ServingRuntime
 
 __all__ = [
     "ClusterConfig", "AppSpec", "ClusterResult", "NexusCluster",
-    "equivalence_report", "pool_and_retry",
+    "equivalence_report",
 ]
 
 #: post-run drain window beyond the longest SLO: lets in-flight batches
@@ -149,41 +151,14 @@ class ClusterConfig:
     retry_max: int = 3
     retry_backoff_ms: float = 5.0
     seed: int = 0
-    #: summary-mode metrics for the simulator driver (``NexusCluster.run``):
-    #: fold every request outcome into counters and a log-spaced latency
-    #: histogram at record time instead of retaining per-request records
-    #: (megascale runs would hold millions).  Scalar metrics and
+    #: summary-mode metrics (every ServingRuntime reads it, so
+    #: ``NexusCluster.run`` does too): fold every request outcome into
+    #: counters and a log-spaced latency histogram at record time instead
+    #: of retaining per-request records (megascale runs would hold
+    #: millions).  Scalar metrics and
     #: approximate percentiles keep working; record-based timelines raise.
-    #: The live :class:`~repro.serving.runtime.ServingRuntime` ignores
-    #: this field: it always folds.
+    #: The live :class:`~repro.serving.server.NexusServer` always sets it.
     summary_metrics: bool = False
-
-
-def pool_and_retry(
-    cfg: ClusterConfig, max_backends: int | None
-) -> tuple[PoolConfig, RetryPolicy]:
-    """The pool and retry knobs both drivers serve ``cfg`` with: the
-    simulator (:meth:`NexusCluster.run`) and the live
-    :class:`~repro.serving.runtime.ServingRuntime` differ only in
-    ``max_backends``."""
-    pool_config = PoolConfig(
-        pacing=cfg.pacing,
-        overlap=cfg.overlap,
-        drop_policy=cfg.drop_policy,
-        interference_factor=cfg.interference_factor,
-        paced=cfg.paced,
-        max_backends=max_backends,
-        # Algorithm-1 invariant assertion layer: every deployed squishy
-        # plan must be provably SLO- and memory-sound.  Baselines
-        # (batch-oblivious) are infeasible by design.
-        validate_plans=cfg.scheduler == "squishy",
-        memory_capacity=int(get_device(cfg.device).mem_capacity),
-        fleet=cfg.fleet,
-    )
-    retry_policy = RetryPolicy(
-        max_retries=cfg.retry_max, backoff_ms=cfg.retry_backoff_ms,
-    )
-    return pool_config, retry_policy
 
 
 @dataclass
@@ -310,14 +285,22 @@ class NexusCluster:
         self.config = config or ClusterConfig()
         self.apps: list[AppSpec] = []
         self._session_loads: list[SessionLoad] = []
-        self._aliases: dict[str, str] = {}
-        self._splits: dict[str, dict[str, float]] = {}
+        #: the last :meth:`plan`'s outputs besides the plan itself:
+        #: prefix-fused session id -> fused pseudo-model id, and query
+        #: name -> stage name -> latency budget (ms).
+        self.aliases: dict[str, str] = {}
+        self.splits: dict[str, dict[str, float]] = {}
         self._child_sessions: set[str] = set()
         self._app_memo: dict[tuple[object, ...], _AppSplits] = {}
 
     # ----------------------------------------------------------- declaring
 
     def add_app(self, app: AppSpec) -> None:
+        """Register an application; its name must be new (names key
+        splits, session ids and arrival counters)."""
+        name = app.query.name
+        if any(a.query.name == name for a in self.apps):
+            raise ValueError(f"app {name!r} already registered")
         self.apps.append(app)
 
     def add_query(self, query: Query, rate_rps: float, arrival: str = "uniform",
@@ -341,8 +324,8 @@ class NexusCluster:
         """
         cfg = self.config
         loads: list[SessionLoad] = []
-        self._aliases = {}
-        self._splits = {}
+        self.aliases = {}
+        self.splits = {}
         self._child_sessions = set()
         for app in self.apps:
             rate = app.rate_rps if rates is None else rates.get(
@@ -363,7 +346,7 @@ class NexusCluster:
                 or split_rate * splits.dp_unit_gpus <= 0.97 * even_gpus
             ):
                 budgets, unit_loads = splits.dp
-            self._splits[app.query.name] = dict(budgets)
+            self.splits[app.query.name] = dict(budgets)
             # raw profiles; wrapped below
             loads.extend(
                 load.with_rate(planned * load.rate_rps) for load in unit_loads
@@ -538,7 +521,7 @@ class NexusCluster:
                 )
             )
             for m in members:
-                self._aliases[m.session_id] = fused_id
+                self.aliases[m.session_id] = fused_id
         return passthrough + fused
 
     def plan(self, rates: dict[str, float] | None = None) -> SchedulePlan:
@@ -681,6 +664,10 @@ class NexusCluster:
             faults: FaultPlan | None = None) -> ClusterResult:
         """Plan, deploy, generate traffic, and serve for ``duration_ms``.
 
+        The deployment is the live server's
+        :class:`~repro.serving.runtime.ServingRuntime`, on a
+        :class:`~repro.simulation.simulator.Simulator` clock.
+
         ``warmup_ms`` excludes an initial window from the metrics (queries
         *arriving* before it are not recorded).  ``trace=True`` records
         the full structured event stream into ``ClusterResult.trace``
@@ -696,54 +683,43 @@ class NexusCluster:
         the incremental :class:`~repro.core.epoch.EpochScheduler` in
         place of the scratch-replan ``dynamic`` loop.
         """
+        # Imported here: repro.serving imports this module.
+        from ..serving.runtime import ServingRuntime
+
         cfg = self.config
         sim = Simulator()
         # With faults the cluster is physically capped: a dead backend's
         # slot must not be replaced by drafting.
-        pool_config, retry_policy = pool_and_retry(
-            cfg, cfg.max_gpus if faults is not None else None
+        runtime = ServingRuntime(
+            sim, self, trace,
+            max_backends=cfg.max_gpus if faults is not None else None,
         )
-        core = RuntimeCore(
-            sim,
-            pool_config=pool_config,
-            num_frontends=cfg.num_frontends,
-            seed=cfg.seed,
-            retry_policy=retry_policy,
-            trace=trace,
-            summary_metrics=cfg.summary_metrics,
-        )
+        core = runtime.core
         # Warm-up is a record-time filter, so it works in summary mode too.
         core.query_metrics.min_arrival_ms = warmup_ms
-        pool = core.pool
-
-        plan = self.plan()
-        core.deploy(plan, self._aliases)
+        plan = runtime.deploy()
 
         self._generate_traffic(sim, core.frontends, duration_ms)
 
         injector: FaultInjector | None = None
         monitor: HeartbeatMonitor | None = None
-        epoch_state = {"epochs": 0, "last": 0.0}
         if faults is not None:
-            injector = FaultInjector(sim, pool.backends, faults)
+            injector = FaultInjector(sim, core.pool.backends, faults)
             injector.arm()
-            monitor = self._install_ft_loop(
-                core, plan, duration_ms, epoch_state
-            )
+            monitor = self._install_ft_loop(runtime, plan, duration_ms)
         elif cfg.dynamic:
-            self._install_epoch_loop(core, duration_ms, epoch_state)
+            runtime.start_epoch_loop(until_ms=duration_ms)
 
         tail_ms = max((a.query.slo_ms for a in self.apps), default=0.0)
         sim.run_until(duration_ms + tail_ms + _DRAIN_GRACE_MS)
-        epochs = int(epoch_state["epochs"])
 
         return ClusterResult(
             query_metrics=core.query_metrics,
             invocation_metrics=core.invocation_metrics,
             plan=plan,
-            gpus_used=max(pool.gpus_in_use, plan.num_gpus),
+            gpus_used=max(core.pool.gpus_in_use, plan.num_gpus),
             duration_ms=duration_ms - warmup_ms,
-            epochs=epochs,
+            epochs=runtime.epochs,
             trace=(
                 core.trace_buffer.events
                 if core.trace_buffer is not None else None
@@ -775,7 +751,7 @@ class NexusCluster:
             for i, app in enumerate(self.apps)
         ])
         targets = [
-            (app.query, self._splits.get(app.query.name)) for app in self.apps
+            (app.query, self.splits.get(app.query.name)) for app in self.apps
         ]
         n_frontends = len(frontends)
         head = next(stream, None)
@@ -815,39 +791,8 @@ class NexusCluster:
             k += 1
         return out
 
-    def _install_epoch_loop(
-        self, core: RuntimeCore, duration_ms: float,
-        state: dict[str, float],
-    ) -> None:
-        """Section 5's control loop: measure, re-plan, redeploy.
-
-        The cadence timer lives in :meth:`RuntimeCore.install_epoch_loop`
-        (shared with the live serving driver); this method supplies the
-        simulator driver's policy -- scratch re-plan from observed
-        whole-query rates.  ``state`` is the run's epoch counter and
-        last-tick time.
-        """
-        cfg = self.config
-
-        def on_tick(now: float) -> None:
-            span_s = max((now - state["last"]) / 1000.0, 1e-9)
-            _, counters = core.read_counters()
-            # App-level observed rates (whole-query arrivals).
-            rates: dict[str, float] = {}
-            for app in self.apps:
-                rates[app.query.name] = counters.get(app.query.name, 0) / span_s
-            state["last"] = now
-            plan = self.plan(rates)
-            core.deploy(plan, self._aliases)
-            state["epochs"] += 1
-            core.tracer.epoch_planned(now, state["epochs"], plan.num_gpus,
-                                      rates=rates)
-
-        core.install_epoch_loop(cfg.epoch_ms, on_tick, until_ms=duration_ms)
-
     def _install_ft_loop(
-        self, core: RuntimeCore, plan: SchedulePlan, duration_ms: float,
-        state: dict[str, float],
+        self, runtime: ServingRuntime, plan: SchedulePlan, duration_ms: float,
     ) -> HeartbeatMonitor:
         """Fault-tolerant control loop: detect, re-pack, redeploy.
 
@@ -856,10 +801,13 @@ class NexusCluster:
         the moment a backend is declared dead (the dead node's sessions
         are re-packed onto survivors under the shrunken GPU cap), and
         regular epoch ticks keep running on the nominal cadence.  The
-        timers and detector are the :class:`RuntimeCore`'s; only the
-        re-pack policy lives here.  ``state`` is the run's epoch counter.
+        timers and detector are the
+        :class:`~repro.runtime.core.RuntimeCore`'s and each new
+        plan goes out through :meth:`ServingRuntime.redeploy`; only the
+        re-pack policy lives here.
         """
         cfg = self.config
+        core = runtime.core
         pool = core.pool
         loads = list(self._session_loads)
         scheduler = EpochScheduler(
@@ -872,12 +820,6 @@ class NexusCluster:
         scheduler.adopt(plan, core.events.now, loads)
         self._ft_scheduler = scheduler
 
-        def redeploy(now: float) -> None:
-            core.deploy(scheduler.plan, self._aliases)
-            state["epochs"] += 1
-            core.tracer.epoch_planned(now, state["epochs"],
-                                      scheduler.plan.num_gpus)
-
         def on_failure(backend_idx: int, now: float) -> None:
             dead_nodes = pool.nodes_on(backend_idx)
             # Unconditional: even with no configured cap the recovery
@@ -886,12 +828,12 @@ class NexusCluster:
             # node's sessions.
             scheduler.max_gpus = pool.live_backends
             scheduler.handle_failure(now, dead_nodes, loads)
-            redeploy(now)
+            runtime.redeploy(scheduler.plan, now)
 
         def on_recovery(backend_idx: int, now: float) -> None:
             scheduler.max_gpus = pool.live_backends
             scheduler.update(now, loads)
-            redeploy(now)
+            runtime.redeploy(scheduler.plan, now)
 
         monitor = core.install_heartbeat(
             cfg.heartbeat_ms, cfg.lease_ms, on_failure, on_recovery
@@ -900,7 +842,7 @@ class NexusCluster:
         def on_tick(now: float) -> None:
             if scheduler.should_reschedule(now, loads):
                 scheduler.update(now, loads)
-                redeploy(now)
+                runtime.redeploy(scheduler.plan, now)
 
         core.install_epoch_loop(cfg.epoch_ms, on_tick, until_ms=duration_ms)
         return monitor

@@ -1,21 +1,21 @@
-"""RuntimeCore: the serving core both clock drivers run.
+"""RuntimeCore: the serving core under every clock.
 
 Extracted from ``NexusCluster.run()``'s inline wiring so the
-discrete-event simulator became *one of two* drivers instead of the only
-one.  The core owns everything a deployment needs at serve time --
+discrete-event simulator became one clock among several.  The core owns
+everything a deployment needs at serve time --
 routing table, metrics collectors, the tracer that feeds them, backend pool,
 frontend replicas -- plus the control-loop machinery (epoch cadence
 timers and the heartbeat/lease failure detector) that used to live in
 ``tick()``/``on_failure()`` closures inside :mod:`repro.cluster.nexus`.
 
 What stays *out* of the core is policy: planning (which plan to deploy)
-and traffic (what to submit) belong to the driver.  The simulator driver
-(:class:`~repro.cluster.nexus.NexusCluster`) replays generated arrival
-traces; the live driver (:mod:`repro.serving`) feeds it HTTP requests and
-wall-clock epochs.  Both deploy through :meth:`RuntimeCore.deploy` and
-observe through the same tracer/metrics stream, which is what makes the
-sim-vs-live equivalence test (tests/test_serving_equivalence.py)
-possible.
+and traffic (what to submit) belong to the one driver,
+:class:`~repro.serving.runtime.ServingRuntime`, which builds the core
+under the simulator (``NexusCluster.run``) and on wall-clock time
+(:mod:`repro.serving`).  Every clock deploys through
+:meth:`RuntimeCore.deploy` and observes through the same tracer/metrics
+stream, which is what makes the driver-equivalence test
+(``tests/test_serving.py::TestDriverEquivalence``) possible.
 """
 
 from __future__ import annotations
@@ -75,11 +75,11 @@ class RuntimeCore:
             outcomes into the two collectors).
         summary_metrics: metrics collectors fold each outcome into
             counters, per-session stats and a latency histogram at record
-            time instead of retaining per-request records.  The live
-            :class:`~repro.serving.runtime.ServingRuntime` always sets it.
-            The simulator driver takes it from
-            ``ClusterConfig.summary_metrics`` (on for megascale shards),
-            since its experiments read record timelines.
+            time instead of retaining per-request records.
+            :class:`~repro.serving.runtime.ServingRuntime` takes it from
+            ``ClusterConfig.summary_metrics``: on for megascale shards
+            and the live server, off for simulations whose experiments
+            read record timelines.
     """
 
     def __init__(
@@ -194,18 +194,15 @@ class RuntimeCore:
 
     # ----------------------------------------------------------- workload
 
-    def read_counters(self) -> tuple[dict[str, int], dict[str, int]]:
-        """Drain per-session and per-query arrival counters, summed
-        across frontend replicas (the control plane calls this once per
-        epoch to derive observed rates)."""
-        sessions: dict[str, int] = {}
+    def read_counters(self) -> dict[str, int]:
+        """Drain the per-query arrival counters, summed across frontend
+        replicas (the control plane calls this once per epoch to derive
+        observed rates)."""
         queries: dict[str, int] = {}
         for fe in self.frontends:
-            for name, n in fe.read_and_reset_counters().items():
-                sessions[name] = sessions.get(name, 0) + n
             for name, n in fe.read_and_reset_query_counters().items():
                 queries[name] = queries.get(name, 0) + n
-        return sessions, queries
+        return queries
 
     # ------------------------------------------------------ control loops
 
@@ -217,7 +214,7 @@ class RuntimeCore:
     ) -> ControlLoopHandle:
         """Fire ``on_tick(now_ms)`` every ``epoch_ms``, starting one epoch
         from now; with ``until_ms`` the loop stops rescheduling once the
-        next tick would land past it (the simulator driver's run horizon).
+        next tick would land past it (a simulated run's horizon).
         """
         if epoch_ms <= 0:
             raise ValueError(f"epoch_ms must be > 0, got {epoch_ms}")
@@ -258,8 +255,8 @@ class RuntimeCore:
         return monitor
 
     def stop(self) -> None:
-        """Stop every control loop this core started (live-driver
-        shutdown; the simulator driver just stops pumping events)."""
+        """Stop every control loop this core started (live-server
+        shutdown; a simulation just stops pumping events)."""
         for loop in self._loops:
             loop.stop()
         self._loops.clear()

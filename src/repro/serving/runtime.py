@@ -1,23 +1,27 @@
 """ServingRuntime: planner + runtime core over any event source.
 
-This is the serving plane with the clock abstracted out: the same object
-serves live traffic under :class:`~repro.runtime.clock.AsyncioEventSource`
-(wall-clock ms) and replays traces deterministically under the
-:class:`~repro.simulation.simulator.Simulator` or
+This is the one serving driver, with the clock abstracted out: the same
+object serves live traffic under
+:class:`~repro.runtime.clock.AsyncioEventSource` (wall-clock ms) and
+replays traces deterministically under the
+:class:`~repro.simulation.simulator.Simulator` (``NexusCluster.run``) or
 :class:`~repro.runtime.clock.ManualEventSource` (virtual ms) -- which is
 exactly what the driver-equivalence tests do.
 
 Planning policy is delegated to :class:`~repro.cluster.nexus.NexusCluster`
 (SLO splits, prefix fusion, squishy packing, all ClusterConfig knobs);
-serving goes through the shared :class:`~repro.runtime.core.RuntimeCore`.
+serving goes through the :class:`~repro.runtime.core.RuntimeCore` built here.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from ..cluster.nexus import ClusterConfig, NexusCluster, pool_and_retry
+from ..cluster.frontend import RetryPolicy
+from ..cluster.global_scheduler import PoolConfig
+from ..cluster.nexus import NexusCluster
 from ..core.query import Query, QueryStage
+from ..models import get_device
 from ..runtime.clock import MS_PER_S, EventSource
 from ..runtime.core import ControlLoopHandle, RuntimeCore
 
@@ -88,33 +92,47 @@ class ServingRuntime:
 
     Args:
         events: the clock driver (simulator, manual, or asyncio source).
-        config: the full :class:`ClusterConfig` knob set; planning honors
-            every field the simulator driver does.
+        planner: the :class:`NexusCluster` that plans every deploy and
+            epoch; its config also sets the pool, retry and metrics knobs.
         trace: record the structured event stream (exporters read it).
+        max_backends: cap on the backends the pool may draft (``None``:
+            uncapped).
     """
 
     def __init__(
         self,
         events: EventSource,
-        config: ClusterConfig | None = None,
+        planner: NexusCluster,
         trace: bool = False,
+        max_backends: int | None = None,
     ) -> None:
-        cfg = config or ClusterConfig()
+        cfg = planner.config
         self.config = cfg
         self.events = events
-        self.planner = NexusCluster(cfg)
-        pool_config, retry_policy = pool_and_retry(cfg, cfg.max_gpus)
-        # Always summary mode: a live server's request count is unbounded,
-        # and nothing on this plane reads more than counters, per-session
-        # stats and histogram percentiles, so no outcome is retained.
+        self.planner = planner
         self.core = RuntimeCore(
             events,
-            pool_config=pool_config,
+            pool_config=PoolConfig(
+                pacing=cfg.pacing,
+                overlap=cfg.overlap,
+                drop_policy=cfg.drop_policy,
+                interference_factor=cfg.interference_factor,
+                paced=cfg.paced,
+                max_backends=max_backends,
+                # Algorithm-1 invariant assertion layer: every deployed
+                # squishy plan must be provably SLO- and memory-sound.
+                # Baselines (batch-oblivious) are infeasible by design.
+                validate_plans=cfg.scheduler == "squishy",
+                memory_capacity=int(get_device(cfg.device).mem_capacity),
+                fleet=cfg.fleet,
+            ),
             num_frontends=cfg.num_frontends,
             seed=cfg.seed,
-            retry_policy=retry_policy,
+            retry_policy=RetryPolicy(
+                max_retries=cfg.retry_max, backoff_ms=cfg.retry_backoff_ms,
+            ),
             trace=trace,
-            summary_metrics=True,
+            summary_metrics=cfg.summary_metrics,
         )
         self.plan: "SchedulePlan | None" = None
         #: app name -> (query, latency split); rebuilt on every deploy
@@ -132,8 +150,6 @@ class ServingRuntime:
     def add_app(self, query: Query, rate_rps: float,
                 arrival: str = "poisson") -> None:
         """Register an application (planned at the declared rate)."""
-        if any(a.query.name == query.name for a in self.planner.apps):
-            raise ValueError(f"app {query.name!r} already registered")
         self.planner.add_query(query, rate_rps, arrival)
         self._reindex()
 
@@ -144,7 +160,7 @@ class ServingRuntime:
     # -------------------------------------------------------------- deploy
 
     def _reindex(self) -> None:
-        splits = self.planner._splits  # noqa: SLF001
+        splits = self.planner.splits
         self._app_index = {
             a.query.name: (a.query, splits.get(a.query.name))
             for a in self.planner.apps
@@ -153,7 +169,7 @@ class ServingRuntime:
     def deploy(self) -> "SchedulePlan":
         """(Re)plan from declared rates and push to the pool."""
         plan = self.planner.plan()
-        self.core.deploy(plan, self.planner._aliases)  # noqa: SLF001
+        self.core.deploy(plan, self.planner.aliases)
         self.plan = plan
         self._reindex()  # the latency splits are fresh after plan()
         return plan
@@ -174,14 +190,16 @@ class ServingRuntime:
 
     # --------------------------------------------------------- epoch loop
 
-    def start_epoch_loop(self) -> ControlLoopHandle:
+    def start_epoch_loop(
+        self, until_ms: float | None = None
+    ) -> ControlLoopHandle:
         """Install the section-5 control loop on this runtime's clock.
 
         Every ``config.epoch_ms`` the loop reads the observed per-query
         arrival counters, re-plans at the observed rates, and redeploys
-        -- the same policy the simulator driver's dynamic mode runs, but
-        on wall-clock timers when driven by an
-        :class:`~repro.runtime.clock.AsyncioEventSource`.
+        -- on virtual time under the simulator (``NexusCluster.run``'s
+        dynamic mode, up to ``until_ms``) and on wall-clock timers under
+        an :class:`~repro.runtime.clock.AsyncioEventSource`.
         """
         if self._epoch_loop is not None:
             return self._epoch_loop
@@ -191,25 +209,32 @@ class ServingRuntime:
             span_s = max(
                 (now - self._last_epoch_ms) / MS_PER_S, _MIN_SPAN_S
             )
-            _, counters = self.core.read_counters()
+            counters = self.core.read_counters()
             rates = {
                 app.query.name: counters.get(app.query.name, 0) / span_s
                 for app in self.planner.apps
             }
             self._last_epoch_ms = now
-            plan = self.planner.plan(rates)
-            self.core.deploy(plan, self.planner._aliases)  # noqa: SLF001
-            self.plan = plan
-            self._reindex()  # splits move with the re-plan
-            self.epochs += 1
-            self.core.tracer.epoch_planned(
-                now, self.epochs, plan.num_gpus, rates=rates
-            )
+            self.redeploy(self.planner.plan(rates), now, rates)
 
         self._epoch_loop = self.core.install_epoch_loop(
-            self.config.epoch_ms, on_tick
+            self.config.epoch_ms, on_tick, until_ms
         )
         return self._epoch_loop
+
+    def redeploy(
+        self, plan: "SchedulePlan", now: float,
+        rates: dict[str, float] | None = None,
+    ) -> None:
+        """Push one epoch's plan (planned at ``rates``, if observed):
+        deploy, re-index the latency splits, count and trace the epoch."""
+        self.core.deploy(plan, self.planner.aliases)
+        self.plan = plan
+        self._reindex()
+        self.epochs += 1
+        self.core.tracer.epoch_planned(
+            now, self.epochs, plan.num_gpus, rates=rates
+        )
 
     def stop(self) -> None:
         self.core.stop()

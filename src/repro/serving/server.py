@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+from dataclasses import replace
 
-from ..cluster.nexus import ClusterConfig
+from ..cluster.nexus import ClusterConfig, NexusCluster
 from ..runtime.clock import AsyncioEventSource
 from .http import HttpServer, json_bytes
 from .runtime import ServingRuntime, parse_app_spec
@@ -49,7 +50,14 @@ class NexusServer:
     ) -> None:
         self.loop = loop or asyncio.get_event_loop()
         self.events = AsyncioEventSource(self.loop)
-        self.runtime = ServingRuntime(self.events, config, trace=trace)
+        # Always summary mode: a live server's request count is unbounded,
+        # and nothing on this plane reads more than counters, per-session
+        # stats and histogram percentiles, so no outcome is retained.
+        cfg = replace(config or ClusterConfig(), summary_metrics=True)
+        self.runtime = ServingRuntime(
+            self.events, NexusCluster(cfg), trace=trace,
+            max_backends=cfg.max_gpus,
+        )
         self.host = host
         self.port = port
         self._http = HttpServer(self.loop)

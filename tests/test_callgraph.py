@@ -130,6 +130,46 @@ class TestCallResolution:
         }, tmp_path)
         assert site_for(graph, "caller.go", "work").resolved == "util.work"
 
+    def test_bare_tree_import_resolves_to_a_sibling(self, tmp_path):
+        graph = graph_from({
+            "core/util.py": """
+                def backoff():
+                    pass
+            """,
+            "core/srv.py": """
+                import util as u
+                from util import backoff
+
+                def go():
+                    backoff()
+                    u.backoff()
+            """,
+        }, tmp_path)
+        site = site_for(graph, "core.srv.go", "backoff")
+        assert site.resolved == "core.util.backoff"
+        assert [s.resolved for s in graph.functions["core.srv.go"].calls] \
+            == ["core.util.backoff"] * 2
+
+    def test_top_level_module_wins_over_a_sibling(self, tmp_path):
+        graph = graph_from({
+            "util.py": """
+                def backoff():
+                    pass
+            """,
+            "core/util.py": """
+                def backoff():
+                    pass
+            """,
+            "core/srv.py": """
+                from util import backoff
+
+                def go():
+                    backoff()
+            """,
+        }, tmp_path)
+        assert site_for(graph, "core.srv.go", "backoff").resolved \
+            == "util.backoff"
+
     def test_relative_and_function_local_imports(self, tmp_path):
         graph = graph_from({
             "pkg/__init__.py": "",

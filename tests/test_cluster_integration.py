@@ -101,8 +101,8 @@ class TestPlanning:
         even = simple_cluster(rate=100.0, query_analysis=False)
         even.plan()
         # Even split gives every stage SLO/depth; QA adapts.
-        assert even._splits["traffic0"]["ssd"] == pytest.approx(200.0)
-        assert qa._splits["traffic0"]["ssd"] != pytest.approx(200.0)
+        assert even.splits["traffic0"]["ssd"] == pytest.approx(200.0)
+        assert qa.splits["traffic0"]["ssd"] != pytest.approx(200.0)
 
     def test_prefix_fusion_creates_aliases(self):
         cfg = ClusterConfig(device="gtx1080ti", max_gpus=8)
@@ -110,8 +110,8 @@ class TestPlanning:
         for q, r in zip(game_queries(cfg.device, 4), zipf_rates(100, 4)):
             cluster.add_query(q, rate_rps=r)
         cluster.plan()
-        assert len(cluster._aliases) == 8  # 4 icons + 4 digit sessions
-        fused_ids = set(cluster._aliases.values())
+        assert len(cluster.aliases) == 8  # 4 icons + 4 digit sessions
+        fused_ids = set(cluster.aliases.values())
         assert len(fused_ids) == 2  # one resnet group, one lenet group
 
     def test_prefix_fusion_disabled(self):
@@ -121,7 +121,7 @@ class TestPlanning:
         for q, r in zip(game_queries(cfg.device, 4), zipf_rates(100, 4)):
             cluster.add_query(q, rate_rps=r)
         cluster.plan()
-        assert cluster._aliases == {}
+        assert cluster.aliases == {}
 
     def test_unknown_scheduler_rejected(self):
         cluster = simple_cluster(scheduler="magic")

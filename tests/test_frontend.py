@@ -100,14 +100,18 @@ class TestSingleRequests:
 
     def test_counters_accumulate_and_reset(self):
         sim = Simulator()
-        backend = make_backend(sim, ["m"])
+        backend = make_backend(sim, ["app/det", "app/rec"])
         table = RoutingTable()
-        table.set_routes("m", [(backend, 1.0)])
+        table.set_routes("app/det", [(backend, 1.0)])
+        table.set_routes("app/rec", [(backend, 1.0)])
         frontend = Frontend(sim, table)
         for _ in range(5):
-            frontend.submit_request("m", 100.0)
-        assert frontend.read_and_reset_counters() == {"m": 5}
-        assert frontend.read_and_reset_counters() == {}
+            frontend.submit_query(two_stage_query())
+        sim.run()
+        # Whole queries, not stage requests: two stages, five arrivals.
+        assert frontend.dispatched == 10
+        assert frontend.read_and_reset_query_counters() == {"app": 5}
+        assert frontend.read_and_reset_query_counters() == {}
 
 
 def two_stage_query(gamma=1.0, slo=300.0):

@@ -11,6 +11,7 @@ from repro.core.profile import EffectiveProfile, LinearProfile
 from repro.core.query import Query, QueryStage
 from repro.metrics.collector import MetricsCollector
 from repro.core.squishy import SchedulePlan
+from repro.serving.runtime import single_model_query
 from repro.workloads.apps import all_apps, traffic_query
 
 
@@ -109,7 +110,7 @@ class TestQaGuard:
         root.add_child(QueryStage("b", p, gamma=1.0, model_id="p2"))
         c.add_query(Query("flat", root, slo_ms=200.0), rate_rps=50.0)
         c.build_session_loads()
-        budgets = c._splits["flat"]
+        budgets = c.splits["flat"]
         assert budgets["a"] == pytest.approx(100.0)
         assert budgets["b"] == pytest.approx(100.0)
 
@@ -134,14 +135,14 @@ class TestPrefixFusion:
             mid.add_child(stage("leaf", f"lenet5@q{i}:11"))
             c.add_query(Query(f"q{i}", root, slo_ms=500.0), rate_rps=20.0)
         loads = {load.session_id: load for load in c.build_session_loads()}
-        budget = c._splits["q0"]["mid"]
+        budget = c.splits["q0"]["mid"]
         assert budget == 500.0 / 3 and round(budget, 1) > budget
         fused = [sid for sid in loads if sid.startswith("pb:")]
         assert sorted(fused) == ["pb:lenet5@166.7ms#2",
                                  "pb:mobilenet_v1@166.7ms#2"]
         for sid in fused:
-            members = [m for m, f in c._aliases.items() if f == sid]
-            tightest = min(c._splits[m.split("/")[0]][m.split("/")[1]]
+            members = [m for m, f in c.aliases.items() if f == sid]
+            tightest = min(c.splits[m.split("/")[0]][m.split("/")[1]]
                            for m in members)
             assert loads[sid].slo_ms <= (1.0 - cfg.slo_margin) * tightest
 
@@ -163,7 +164,7 @@ def _planned(cluster):
     first = squishy._next_node_id()
     plan = cluster.plan(_RATES)
     return (
-        {name: dict(budgets) for name, budgets in cluster._splits.items()},
+        {name: dict(budgets) for name, budgets in cluster.splits.items()},
         sorted(cluster._child_sessions),
         [(gpu.node_id - first, gpu.duty_cycle_ms,
           [(a.session_id, a.batch, a.load.rate_rps, a.load.slo_ms, a.exec_ms)
@@ -229,6 +230,25 @@ class TestPerAppSplitsAreRecomputedWhenTheirInputsChange:
         assert flipped == _fresh_plan(cluster)
         setattr(cluster.config, field, default)
         assert _planned(cluster) == before
+
+
+class TestAppNames:
+    """An app's name keys its latency split, its session ids and its
+    arrival counter, so the planner holds each name once."""
+
+    def test_a_taken_name_is_refused(self):
+        cfg = ClusterConfig(device="gtx1080ti", max_gpus=4)
+        cluster = NexusCluster(cfg)
+        cluster.add_query(
+            single_model_query("lenet5", 50.0, cfg.device), 100.0,
+        )
+        with pytest.raises(ValueError, match="already registered"):
+            cluster.add_app(AppSpec(
+                single_model_query("lenet5", 20.0, cfg.device), 5_000.0,
+            ))
+        assert [a.rate_rps for a in cluster.apps] == [100.0]
+        loads = cluster.build_session_loads()
+        assert [l.session_id for l in loads] == ["lenet5/lenet5"]
 
 
 class TestClusterResult:

@@ -38,8 +38,8 @@ def render_plan(cluster, rates) -> list[str]:
     first = squishy._next_node_id()
     plan = cluster.plan(rates)
     lines = []
-    for name in sorted(cluster._splits):
-        budgets = cluster._splits[name]
+    for name in sorted(cluster.splits):
+        budgets = cluster.splits[name]
         lines.append(f"split {name} " + " ".join(
             f"{stage}={budgets[stage].hex()}" for stage in sorted(budgets)))
     for gpu in plan.gpus:

@@ -24,10 +24,13 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from repro.cluster.nexus import ClusterConfig
+from repro.cluster.faults import FaultPlan
+from repro.cluster.nexus import ClusterConfig, NexusCluster
+from repro.models.gpus import make_fleet
 from repro.runtime.clock import ManualEventSource
 from repro.serving.loadgen import _fetch_json, run_loadgen, wait_ready
 from repro.serving.runtime import (
@@ -79,7 +82,7 @@ class TestDriverEquivalence:
 
     def _run_driver(self, events):
         cfg = ClusterConfig(max_gpus=4, seed=11)
-        runtime = ServingRuntime(events, cfg)
+        runtime = ServingRuntime(events, NexusCluster(cfg))
         runtime.add_app(
             single_model_query("lenet5", self.SLO_MS, cfg.device),
             self.RATE_RPS,
@@ -144,8 +147,8 @@ class TestLiveMetricsFold:
 
     def test_stats_match_exact_tallies(self):
         events = Simulator()
-        cfg = ClusterConfig(max_gpus=12, seed=3)
-        runtime = ServingRuntime(events, cfg)
+        cfg = ClusterConfig(max_gpus=12, seed=3, summary_metrics=True)
+        runtime = ServingRuntime(events, NexusCluster(cfg))
         runtime.add_app(single_model_query("lenet5", 50.0, cfg.device), 2_000.0)
         runtime.add_app(traffic_query(cfg.device), 60.0)
         runtime.deploy()
@@ -198,36 +201,74 @@ class _Captured(Exception):
 
 
 class TestPoolConfigParity:
-    """The live runtime serves with the simulator driver's pool knobs."""
+    """Every driver builds its RuntimeCore in one place, from the config."""
 
-    def test_fleet_config_reaches_the_live_pool(self, monkeypatch):
-        from dataclasses import replace
+    CFG = ClusterConfig(
+        max_gpus=8, fleet=make_fleet({"gtx1080ti": 4, "t4": 4}),
+        retry_max=5, retry_backoff_ms=2.0,
+    )
 
-        from repro.cluster import nexus
-        from repro.models.gpus import make_fleet
+    @staticmethod
+    def _capture(monkeypatch, build):
+        """The knobs ``build()`` hands the one ``RuntimeCore(...)``."""
+        from repro.serving import runtime
 
-        cfg = ClusterConfig(
-            max_gpus=8, fleet=make_fleet({"gtx1080ti": 4, "t4": 4}),
-            retry_max=5, retry_backoff_ms=2.0,
-        )
         seen = {}
 
-        def capture(events, pool_config=None, retry_policy=None, **_):
-            seen["pool"], seen["retry"] = pool_config, retry_policy
+        def capture(events, **kwargs):
+            seen.update(kwargs)
             raise _Captured
 
         with monkeypatch.context() as patch:
-            patch.setattr(nexus, "RuntimeCore", capture)
+            patch.setattr(runtime, "RuntimeCore", capture)
             with pytest.raises(_Captured):
-                nexus.NexusCluster(cfg).run(1_000.0)
+                build()
+        return seen
 
-        live = ServingRuntime(Simulator(), cfg).core
-        assert live.pool.config.fleet is cfg.fleet
-        # The one knob the drivers choose differently: the simulator caps
-        # backends only under faults, the live pool always.
-        assert seen["pool"].max_backends is None
-        assert live.pool.config == replace(seen["pool"], max_backends=8)
-        assert live.frontends[0].retry_policy == seen["retry"]
+    def test_config_reaches_the_one_core(self, monkeypatch):
+        seen = self._capture(
+            monkeypatch, lambda: NexusCluster(self.CFG).run(1_000.0)
+        )
+        pool, retry = seen["pool_config"], seen["retry_policy"]
+        assert pool.fleet is self.CFG.fleet
+        assert pool.validate_plans
+        assert (retry.max_retries, retry.backoff_ms) == (5, 2.0)
+        assert seen["num_frontends"] == self.CFG.num_frontends
+        assert seen["summary_metrics"] is False
+
+    def test_fault_free_simulation_is_uncapped(self, monkeypatch):
+        seen = self._capture(
+            monkeypatch, lambda: NexusCluster(self.CFG).run(1_000.0)
+        )
+        assert seen["pool_config"].max_backends is None
+        faulted = self._capture(
+            monkeypatch,
+            lambda: NexusCluster(self.CFG).run(1_000.0, faults=FaultPlan()),
+        )
+        assert faulted["pool_config"].max_backends == 8
+
+    def test_fleet_config_reaches_the_live_pool(self, monkeypatch):
+        loop = asyncio.new_event_loop()
+        try:
+            seen = self._capture(
+                monkeypatch,
+                lambda: NexusServer(config=self.CFG, port=0, loop=loop),
+            )
+        finally:
+            loop.close()
+        # The live server folds and caps at max_gpus whatever the caller's
+        # config says (and leaves that config untouched).
+        assert self.CFG.summary_metrics is False
+        assert seen["summary_metrics"] is True
+        assert seen["pool_config"].fleet is self.CFG.fleet
+        assert seen["pool_config"].max_backends == 8
+        sim = self._capture(
+            monkeypatch, lambda: NexusCluster(self.CFG).run(1_000.0)
+        )
+        assert seen["pool_config"] == replace(
+            sim["pool_config"], max_backends=8
+        )
+        assert seen["retry_policy"] == sim["retry_policy"]
 
 
 async def _post_json(host: str, port: int, path: str, payload: dict) -> dict:
