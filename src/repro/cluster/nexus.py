@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable
 from ..core.epoch import EpochScheduler
 from ..core.fleet import Fleet, assign_classes
 from ..core.prefix import PrefixGroup
-from ..core.profile import EffectiveProfile, LinearProfile
+from ..core.profile import EffectiveProfile
 from ..core.profile_tables import remember
 from ..core.query import (
     Query,
@@ -85,13 +85,10 @@ _CHILD_SLO_MARGIN = 0.35
 #: the section 4.1 worst case: twice its batch latency.
 _QA_WORST_CASE_FACTOR = 2.0
 
-#: ``(member model ids, device) -> (prefix profile, suffix profiles,
-#: prefix_len)``: a fused family's profiling is a pure function of its
+#: ``(member model ids, device) -> PrefixGroup``: a fused family's
+#: profiling (and its weight-free curve rows) is a pure function of its
 #: membership, so epoch re-plans look it up instead of re-deriving it.
-_FAMILY_PROFILES: dict[
-    tuple[tuple[str, ...], str],
-    tuple[LinearProfile, list[LinearProfile], int],
-] = {}
+_FAMILY_PROFILES: dict[tuple[tuple[str, ...], str], PrefixGroup] = {}
 
 
 @dataclass
@@ -481,25 +478,19 @@ class NexusCluster:
                 continue
             model_ids = [m.session.model_id for m in members]
             family = (tuple(model_ids), self.config.device)
-            profiled = _FAMILY_PROFILES.get(family)
-            if profiled is None:
+            group = _FAMILY_PROFILES.get(family)
+            if group is None:
                 try:
                     graphs = [get_model(model_id) for model_id in model_ids]
                     device = get_device(self.config.device)
-                    profiled = remember(
+                    profiled = prefix_suffix_profiles(graphs, device)
+                    group = remember(
                         _FAMILY_PROFILES, family,
-                        prefix_suffix_profiles(graphs, device),
+                        PrefixGroup(model_ids, *profiled),
                     )
                 except (KeyError, ValueError):
                     passthrough.extend(members)
                     continue
-            prefix_prof, suffix_profs, plen = profiled
-            group = PrefixGroup(
-                model_ids=model_ids,
-                prefix_profile=prefix_prof,
-                suffix_profiles=suffix_profs,
-                prefix_len=plen,
-            )
             rates = [m.rate_rps for m in members]
             total_rate = sum(rates)
             weights = (

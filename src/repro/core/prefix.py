@@ -21,19 +21,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..models.graph import ModelGraph
-from .profile import BatchingProfile, LinearProfile
+from .profile import BatchingProfile
+
+if TYPE_CHECKING:  # annotations only: numpy.typing costs RSS at import
+    import numpy.typing as npt
 
 __all__ = ["PrefixGroup", "PrefixBatchedProfile", "find_prefix_groups",
            "group_memory_bytes", "unbatched_memory_bytes"]
 
-#: Batches per block of :meth:`PrefixBatchedProfile.latency_curve`: a
-#: block holds a few ``batches x suffixes`` float64 arrays, so small
-#: blocks keep a 200-suffix curve's working set small.
-_CURVE_BLOCK = 32
+#: Cells (batches x suffixes) per block of
+#: :meth:`PrefixBatchedProfile.latency_curve`: a narrow family's whole
+#: curve is one block, and a wide family's blocks keep their few
+#: ``suffixes x batches`` working arrays cache-sized (a 200-suffix curve
+#: built in one pass over all 256 batches is slower).
+_CURVE_CELLS = 8192
 
 
 def find_prefix_groups(
@@ -69,6 +75,53 @@ def find_prefix_groups(
     return groups
 
 
+@dataclass(frozen=True)
+class _CurveRows:
+    """The weight-free parts of a fused family's latency curve.
+
+    Attributes:
+        table: a flat float64 lookup table of rows of ``max_batch + 1``
+            entries: row 0 holds the prefix latency at batch ``b`` in
+            column ``b``, then one row per distinct suffix tables object
+            (a family's equal-valued suffixes share one interned
+            :class:`~repro.core.profile_tables.ProfileTables`) holds that
+            suffix's latency at sub-batch ``s`` in column ``s``, clamped
+            to its own ceiling.  Column 0 is 0.0 in every row: a suffix
+            given no input adds nothing.
+        row_start: ``(suffixes, 1)`` offsets of each suffix's row in
+            ``table``.
+        suffix_memory_bytes: the suffixes' summed model memory.
+    """
+
+    table: npt.NDArray[np.float64]
+    row_start: npt.NDArray[np.intp]
+    suffix_memory_bytes: int
+
+
+def _curve_rows(
+    prefix: BatchingProfile, suffixes: list[BatchingProfile]
+) -> _CurveRows:
+    max_batch = prefix.max_batch
+    tables = [suffix.tables() for suffix in suffixes]
+    distinct = {id(t): t for t in tables}     # first-seen order
+    row_of = {key: row for row, key in enumerate(distinct, 1)}
+    width = max_batch + 1
+    table = np.zeros((len(distinct) + 1, width))
+    table[0, 1:] = prefix.tables().latency_ms
+    for row, t in enumerate(distinct.values(), 1):
+        lat = t.latency_ms[:max_batch]
+        table[row, 1:len(lat) + 1] = lat
+        table[row, len(lat) + 1:] = lat[-1]
+    row_start = width * np.array(
+        [row_of[id(t)] for t in tables], dtype=np.intp
+    )
+    return _CurveRows(
+        table=table.ravel(),
+        row_start=row_start[:, None],
+        suffix_memory_bytes=sum(s.memory_model_bytes for s in suffixes),
+    )
+
+
 @dataclass
 class PrefixGroup:
     """A family of specialized models fused for prefix-batched execution.
@@ -78,12 +131,15 @@ class PrefixGroup:
         prefix_profile: profile of the shared trunk.
         suffix_profiles: one profile per member's private suffix.
         prefix_len: number of shared leading graph nodes (for reporting).
+        rows: the weight-free parts of the fused curve, built once per
+            group and shared by every :meth:`combined_profile`.
     """
 
     model_ids: list[str]
     prefix_profile: BatchingProfile
     suffix_profiles: list[BatchingProfile]
     prefix_len: int = 0
+    rows: _CurveRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.model_ids) != len(self.suffix_profiles):
@@ -93,6 +149,7 @@ class PrefixGroup:
             )
         if len(self.model_ids) < 2:
             raise ValueError("a prefix group needs at least two members")
+        self.rows = _curve_rows(self.prefix_profile, self.suffix_profiles)
 
     @property
     def size(self) -> int:
@@ -118,6 +175,7 @@ class PrefixGroup:
             prefix=self.prefix_profile,
             suffixes=list(self.suffix_profiles),
             weights=[w / total for w in weights],
+            rows=self.rows,
         )
 
 
@@ -135,20 +193,28 @@ class PrefixBatchedProfile(BatchingProfile):
     prefix: BatchingProfile = None  # type: ignore[assignment]
     suffixes: list[BatchingProfile] = field(default_factory=list)
     weights: list[float] = field(default_factory=list)
+    #: the family's weight-free curve parts; a profile made by
+    #: :meth:`PrefixGroup.combined_profile` shares its group's, one
+    #: constructed directly builds its own.
+    rows: _CurveRows = field(  # type: ignore[assignment]
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.prefix is None or not self.suffixes:
             raise ValueError("need a prefix profile and at least one suffix")
         if len(self.weights) != len(self.suffixes):
             raise ValueError("weights/suffixes length mismatch")
+        if self.rows is None:
+            self.rows = _curve_rows(self.prefix, self.suffixes)
         self.max_batch = self.prefix.max_batch
         self.pre_ms = self.prefix.pre_ms
         self.post_ms = sum(
             w * s.post_ms for w, s in zip(self.weights, self.suffixes)
         )
         self.cpu_workers = self.prefix.cpu_workers
-        self.memory_model_bytes = self.prefix.memory_model_bytes + sum(
-            s.memory_model_bytes for s in self.suffixes
+        self.memory_model_bytes = (
+            self.prefix.memory_model_bytes + self.rows.suffix_memory_bytes
         )
         self.memory_per_input_bytes = self.prefix.memory_per_input_bytes
 
@@ -196,75 +262,75 @@ class PrefixBatchedProfile(BatchingProfile):
         """The whole curve, ``==`` to ``latency(b)`` per batch.
 
         The weights follow the offered rates, so a fused curve is built
-        afresh for every plan's rates and cannot be interned; its parts
-        can.  The suffix latencies are read from one row per distinct
-        suffix tables object (a family's equal-valued suffixes share one
-        interned :class:`~repro.core.profile_tables.ProfileTables`),
-        gathered through per-suffix row offsets.  The curve is computed
-        in blocks of :data:`_CURVE_BLOCK` batches, as float64 arrays: the
-        apportionment of every batch in a block at once (floors, then the
-        leftover inputs go to the largest remainders, ties in suffix
-        order), one gather, and a left-to-right running sum from the
-        prefix latency -- the same float operations, in the same order,
-        as :meth:`latency`.
+        afresh for every plan's rates and cannot be interned; its
+        weight-free parts (:class:`_CurveRows`) are built once per
+        family.  The curve is computed in blocks of batches holding at
+        most :data:`_CURVE_CELLS` ``suffixes x batches`` cells, as float64
+        arrays: the apportionment of every batch in a block at once
+        (floors, then the leftover inputs go to the largest remainders,
+        ties in suffix order), one gather of the prefix and suffix
+        latencies into a suffix-major ``(suffixes + 1, batches)`` array,
+        and a reduce down its rows -- the same float additions, in the
+        same order, as :meth:`latency`.
         """
         total_w = self._total_weight()
+        rows = self.rows
         max_batch = self.max_batch
         k = len(self.suffixes)
-        weights = np.array(self.weights, dtype=np.float64)
-        prefix_ms = np.array(self.prefix.tables().latency_ms)
-        tables = [suffix.tables() for suffix in self.suffixes]
-        distinct = {id(t): t for t in tables}     # first-seen order
-        row_of = {key: row for row, key in enumerate(distinct)}
-        # suffix_ms[row_start[i] + sub] is suffix i's latency at sub-batch
-        # ``sub``: one row of ``max_batch + 1`` entries per distinct
-        # tables object.  A sub-batch above a suffix's own ceiling runs at
-        # that ceiling, and column 0 (the suffix gets no input) adds
-        # nothing.
-        width = max_batch + 1
-        row_start = width * np.array(
-            [row_of[id(t)] for t in tables], dtype=np.intp
-        )
-        suffix_ms = np.zeros((len(distinct), width))
-        for row, t in enumerate(distinct.values()):
-            lat = t.latency_ms[:max_batch]
-            suffix_ms[row, 1:len(lat) + 1] = lat
-            suffix_ms[row, len(lat) + 1:] = lat[-1]
-        suffix_ms = suffix_ms.ravel()
+        weights = np.array(self.weights, dtype=np.float64)[:, None]
+        height = max(1, _CURVE_CELLS // k)
         curve: list[float] = []
-        for first in range(1, max_batch + 1, _CURVE_BLOCK):
-            batch = np.arange(
-                first, min(first + _CURVE_BLOCK, max_batch + 1),
-                dtype=np.float64,
-            )
-            shares = weights * batch[:, None] / total_w
+        for first in range(1, max_batch + 1, height):
+            n = min(height, max_batch + 1 - first)
+            cols = np.arange(n)
+            batch = np.arange(first, first + n, dtype=np.float64)
+            shares = weights * batch
+            shares /= total_w
             subs = np.floor(shares)
-            # Batch r hands one more input to each of its ``take[r]``
-            # first suffixes in (remainder descending, suffix order):
-            # those whose -remainder is below the take-th smallest, then
-            # the ones tied at it, in suffix order, until ``take`` is met.
-            neg = subs - shares
-            take = np.clip(batch - subs.sum(axis=1), 0, k).astype(np.intp)
-            cut = np.sort(neg, axis=1)[
-                np.arange(len(batch)), np.maximum(take - 1, 0)
-            ][:, None]
-            below = neg < cut
-            tied = neg == cut
-            room = take - below.sum(axis=1)
-            tied &= np.cumsum(tied, axis=1) <= room[:, None]
-            subs += below | tied
-            terms = np.empty((len(batch), k + 1))
-            terms[:, 0] = prefix_ms[first - 1:first - 1 + len(batch)]
-            terms[:, 1:] = suffix_ms.take(row_start + subs.astype(np.intp))
-            curve.extend(np.add.accumulate(terms, axis=1)[:, -1].tolist())
+            neg = np.subtract(subs, shares, out=shares)  # shares: unread
+            # the leftover inputs: the floors never sum past the batch,
+            # and at most one goes to each suffix
+            take = (batch - subs.sum(axis=0)).astype(np.intp)
+            np.minimum(take, k, out=take)
+            # Batch b hands one more input to each of its take[b] first
+            # suffixes in (remainder descending, suffix order): those
+            # whose -remainder is at most the take-th smallest (cut) ...
+            ranked = np.sort(neg, axis=0).ravel()
+            cut = np.where(
+                take > 0, ranked.take((take - 1) * n + cols), -np.inf
+            )
+            inc = neg <= cut
+            # ... unless more than take[b] tie at or below it: then only
+            # the first of the tied, in suffix order, until take is met.
+            over = np.flatnonzero(
+                (take < k)
+                & (ranked.take(np.minimum(take, k - 1) * n + cols) == cut)
+            )
+            if len(over):
+                part = slice(over[0], over[-1] + 1)
+                tied = neg[:, part] == cut[part]
+                rank = np.cumsum(tied, axis=0)
+                room = take[part] - (inc[:, part].sum(axis=0) - rank[-1])
+                inc[:, part] ^= tied & (rank > room)
+            # idx[0] indexes the prefix row at the batch, idx[1 + i] suffix
+            # i's row at its sub-batch.  A one-column reduce would run
+            # along contiguous memory, where numpy sums pairwise, so a
+            # one-batch block gets a second column (index 0: all 0.0).
+            idx = np.zeros((k + 1, max(n, 2)), dtype=np.intp)
+            idx[0, :n] = batch
+            body = idx[1:, :n]
+            body[...] = subs
+            body += rows.row_start
+            body += inc
+            lat = np.add.reduce(rows.table.take(idx), axis=0)
+            curve.extend(lat[:n].tolist())
         return tuple(curve)
 
 
 def group_memory_bytes(group: PrefixGroup) -> int:
     """GPU memory for the fused family: one trunk + all suffixes."""
-    return group.prefix_profile.memory_model_bytes + sum(
-        s.memory_model_bytes for s in group.suffix_profiles
-    )
+    return (group.prefix_profile.memory_model_bytes
+            + group.rows.suffix_memory_bytes)
 
 
 def unbatched_memory_bytes(full_profiles: list[BatchingProfile]) -> int:

@@ -24,11 +24,13 @@ Three implementations:
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import math
 from heapq import heappop, heappush
-from typing import Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+
+if TYPE_CHECKING:  # asyncio is imported where a wall clock is built
+    import asyncio
 
 __all__ = [
     "TimerHandle",
@@ -106,7 +108,11 @@ class AsyncioEventSource:
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop | None = None) -> None:
-        self._loop = loop if loop is not None else asyncio.get_event_loop()
+        if loop is None:
+            import asyncio
+
+            loop = asyncio.get_event_loop()
+        self._loop = loop
         self._origin_s = self._loop.time()
 
     @property

@@ -15,14 +15,24 @@ frontend in front.  See docs/serving.md.
   rate, p50/p99 and drop fractions (``python -m repro loadgen``).
 """
 
-from .loadgen import LoadgenReport, run_loadgen
-from .runtime import ServingRuntime, parse_app_spec
-from .server import NexusServer
+from importlib import import_module
 
-__all__ = [
-    "ServingRuntime",
-    "NexusServer",
-    "LoadgenReport",
-    "run_loadgen",
-    "parse_app_spec",
-]
+#: public name -> the submodule defining it.  Imported on first access,
+#: so reaching ``repro.serving.runtime`` (as ``NexusCluster.run`` does)
+#: loads neither asyncio nor the HTTP server.
+_EXPORTS = {
+    "ServingRuntime": "runtime",
+    "NexusServer": "server",
+    "LoadgenReport": "loadgen",
+    "run_loadgen": "loadgen",
+    "parse_app_spec": "runtime",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)

@@ -3,10 +3,11 @@
 A profile is a constant of the deployment, so ``tables()`` resolves
 through a bounded value-keyed intern table, query splits are memoised by
 value, and a prefix-fused profile builds its whole latency curve in
-blocks of batches.  None of it may change a single emitted number: these
-tests pin the interned tables to a fresh build field by field, the
-blocked curve to the per-batch reference with ``==``, and whole cluster
-plans to the plans a non-interning build emits.
+blocks of at most ``_CURVE_CELLS`` batches x suffixes.  None of it may
+change a single emitted number: these tests pin the interned tables to a
+fresh build field by field, the blocked curve to the per-batch reference
+with ``==`` (summation order included), and whole cluster plans to the
+plans a non-interning build emits.
 """
 
 import contextlib
@@ -14,7 +15,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import nexus
@@ -23,7 +24,7 @@ from repro.core import profile as profile_mod
 from repro.core import profile_tables as pt
 from repro.core import query as query_mod
 from repro.core import squishy
-from repro.core.prefix import _CURVE_BLOCK, PrefixBatchedProfile
+from repro.core.prefix import _CURVE_CELLS, PrefixBatchedProfile
 from repro.core.profile import (
     EffectiveProfile,
     LinearProfile,
@@ -246,6 +247,30 @@ def families_sharing_curves(draw):
     return _fused(prefix, suffixes, weights)
 
 
+def block_height(k):
+    """Batches per block of a ``k``-suffix fused curve."""
+    return max(1, _CURVE_CELLS // k)
+
+
+def tiny_terms_family(max_batch, k=200):
+    """Prefix latency 1.0 and ``k`` suffix terms of 1e-16 each.  Added
+    left to right, as :meth:`PrefixBatchedProfile.latency` adds them,
+    every term is lost (1.0 + 1e-16 == 1.0); summed pairwise they are not
+    (200 of them make 1.0000000000000189)."""
+    prefix = TabulatedProfile(name="p", points=((1, 1.0), (2, 1.0)),
+                              max_batch=max_batch)
+    suffixes = [TabulatedProfile(name=f"s{i}", points=((1, 1e-16), (2, 1e-16)),
+                                 max_batch=max_batch) for i in range(k)]
+    return _fused(prefix, suffixes, [1.0] * k)
+
+
+def ledger_families(rates):
+    """The fused families of the ledger's 206-app cluster at ``rates``."""
+    loads = _cluster(num_games=200).build_session_loads(rates)
+    return [load.profile.base for load in loads
+            if isinstance(load.profile.base, PrefixBatchedProfile)]
+
+
 class TestOnePassFusedCurve:
     @given(fused_profiles())
     @settings(max_examples=60, deadline=None)
@@ -253,6 +278,7 @@ class TestOnePassFusedCurve:
         assert_curve_is_the_reference(profile)
 
     @given(families_sharing_curves())
+    @example(tiny_terms_family(256))
     @settings(max_examples=40, deadline=None)
     def test_shared_and_distinct_suffix_curves_match_exactly(self, profile):
         assert_curve_is_the_reference(profile)
@@ -290,17 +316,68 @@ class TestOnePassFusedCurve:
         profile = _fused(trunk, heads, [r / total for r in rates])
         assert_curve_is_the_reference(profile)
 
-    @pytest.mark.parametrize("max_batch", [
-        1, 5, _CURVE_BLOCK - 1, _CURVE_BLOCK, _CURVE_BLOCK + 1,
-        2 * _CURVE_BLOCK + 13,
-    ])
+    # a 256-suffix family's blocks are 32 batches high: ceilings on both
+    # sides of the first block edge, a one-batch last block (33) and
+    # three blocks with a partial one (77)
+    @pytest.mark.parametrize("max_batch", [1, 5, 31, 32, 33, 77])
     def test_block_edges(self, max_batch):
+        k = _CURVE_CELLS // 32
+        assert block_height(k) == 32
         trunk = LinearProfile(name="p", alpha=0.3, beta=4.0,
                               max_batch=max_batch)
-        heads = [LinearProfile(name=f"s{i}", alpha=0.02 * (i + 1), beta=0.2,
-                               max_batch=max_batch) for i in range(7)]
-        profile = _fused(trunk, heads, [3.0, 1.0, 1.0, 0.5, 2.5, 1.0, 1.0])
+        heads = [LinearProfile(name=f"s{i}", alpha=0.02 * (i % 7 + 1),
+                               beta=0.2, max_batch=max_batch)
+                 for i in range(k)]
+        weights = [(3.0, 1.0, 1.0, 0.5, 2.5, 1.0, 1.0)[i % 7]
+                   for i in range(k)]
+        profile = _fused(trunk, heads, weights)
         assert_curve_is_the_reference(profile)
+
+    @pytest.mark.parametrize("k", [2, 200])
+    def test_computed_block_edges(self, k):
+        # a 2-suffix family is one block up to 4096 batches; a 200-suffix
+        # one at the default ceiling needs seven blocks of up to 40
+        edge = block_height(k)
+        max_batch = 256 if edge < 256 else edge + 2
+        assert edge < max_batch
+        rng = random.Random(k)
+        trunk = LinearProfile(name="p", alpha=0.4, beta=6.0,
+                              max_batch=max_batch)
+        heads = [LinearProfile(name=f"s{i}", alpha=rng.uniform(0.001, 0.05),
+                               beta=rng.uniform(0.0, 0.3), max_batch=max_batch)
+                 for i in range(k)]
+        profile = _fused(trunk, heads, [rng.uniform(0.5, 2.0)
+                                        for _ in range(k)])
+        assert_curve_is_the_reference(profile)
+
+    # the summation order: terms of 1e-16 vanish only when added one by
+    # one onto the prefix's 1.0, a one-batch curve (1) and a one-batch
+    # last block (41) included; the == property takes max batch 256
+    @pytest.mark.parametrize("max_batch", [1, 2, 40, 41])
+    def test_suffix_terms_are_added_left_to_right(self, max_batch):
+        profile = tiny_terms_family(max_batch)
+        assert block_height(200) == 40
+        assert profile.latency_curve() == (1.0,) * max_batch
+        assert_curve_is_the_reference(profile)
+
+    # the ledger's shape: two 200-suffix families, each sharing one
+    # suffix table, at the default ceiling.  The default rates give 7
+    # distinct weights, and 247 of the 256 batches tie past their room
+    # at the cut; seeded +-20 % rates give 200, and none do.
+    @pytest.mark.parametrize("seeded", [False, True], ids=["default", "seeded"])
+    def test_the_ledgers_200_suffix_families(self, seeded):
+        rates = None
+        if seeded:
+            rng = random.Random(7)
+            rates = {app.query.name: app.rate_rps * (0.8 + 0.4 * rng.random())
+                     for app in _cluster(num_games=200).apps}
+        wide = [f for f in ledger_families(rates) if len(f.suffixes) == 200]
+        assert len(wide) == 2
+        for profile in wide:
+            assert profile.max_batch == 256
+            assert len({id(s.tables()) for s in profile.suffixes}) == 1
+            assert len(set(profile.weights)) == (200 if seeded else 7)
+            assert_curve_is_the_reference(profile)
 
     def test_suffix_tables_longer_than_the_prefix_are_truncated(self):
         trunk = LinearProfile(name="p", alpha=0.5, beta=3.0, max_batch=40)
@@ -317,19 +394,19 @@ class TestOnePassFusedCurve:
         assert_curve_is_the_reference(profile)
 
     def test_remainder_ties_straddling_a_block_boundary(self):
-        # three equal weights: every batch not divisible by 3 hands its
-        # leftover inputs out in suffix order, on both sides of the first
-        # block boundary (batches _CURVE_BLOCK and _CURVE_BLOCK + 1)
+        # 256 equal weights, blocks of 32 batches: below 256 every batch
+        # hands its inputs out one each in suffix order, on both sides of
+        # the first block edge
+        k = _CURVE_CELLS // 32
+        edge = block_height(k)
         trunk = LinearProfile(name="p", alpha=0.5, beta=3.0,
-                              max_batch=2 * _CURVE_BLOCK)
-        heads = [LinearProfile(name=f"s{i}", alpha=0.05 * (3 - i), beta=0.1,
-                               max_batch=2 * _CURVE_BLOCK) for i in range(3)]
-        profile = _fused(trunk, heads, [2.0, 2.0, 2.0])
-        edge = _CURVE_BLOCK
+                              max_batch=2 * edge)
+        heads = [LinearProfile(name=f"s{i}", alpha=0.05 * (3 - i % 3),
+                               beta=0.1, max_batch=2 * edge)
+                 for i in range(k)]
+        profile = _fused(trunk, heads, [2.0] * k)
         for batch in (edge - 1, edge, edge + 1, edge + 2):
-            base, extra = divmod(batch, 3)
-            assert profile.split_batch(batch) == (
-                [base + 1] * extra + [base] * (3 - extra))
+            assert profile.split_batch(batch) == [1] * batch + [0] * (k - batch)
         assert_curve_is_the_reference(profile)
 
     def test_effective_view_consumes_the_curve(self):
@@ -396,9 +473,9 @@ class TestEverythingIsBounded:
 # ------------------------------------------------------------ plan identity
 
 
-def _cluster():
+def _cluster(num_games=20):
     cluster = NexusCluster(ClusterConfig(expand_to_cluster=False))
-    for i, query in enumerate(all_apps("gtx1080ti", num_games=20)):
+    for i, query in enumerate(all_apps("gtx1080ti", num_games=num_games)):
         cluster.add_query(query, 20.0 + 5.0 * (i % 7), "poisson")
     return cluster
 

@@ -24,10 +24,15 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+import repro
 from repro.cluster.faults import FaultPlan
 from repro.cluster.nexus import ClusterConfig, NexusCluster
 from repro.models.gpus import make_fleet
@@ -70,6 +75,36 @@ class TestParseAppSpec:
         query = single_model_query("lenet5", 75.0, "gtx1080ti")
         assert query.slo_ms == 75.0
         assert query.root.model_id == "lenet5"
+
+
+class TestLazyServingImports:
+    """A simulated run reaches ``repro.serving.runtime``; it must not pay
+    for asyncio, ssl or the HTTP server."""
+
+    def test_a_simulated_run_loads_no_event_loop_or_server(self):
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        probe = (
+            "import sys, repro.cluster.nexus, repro.serving.runtime\n"
+            "print(*[m for m in ('asyncio', 'ssl', 'repro.serving.server')"
+            " if m in sys.modules])"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert result.stdout.strip() == ""
+
+    def test_package_names_resolve_on_first_access(self):
+        import repro.serving as serving
+
+        assert serving.NexusServer is NexusServer
+        assert serving.ServingRuntime is ServingRuntime
+        assert serving.run_loadgen is run_loadgen
+        assert serving.parse_app_spec is parse_app_spec
+        assert serving.LoadgenReport.__module__ == "repro.serving.loadgen"
+        with pytest.raises(AttributeError):
+            serving.no_such_name  # noqa: B018
 
 
 class TestDriverEquivalence:
