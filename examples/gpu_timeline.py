@@ -2,8 +2,8 @@
 """GPU timeline: watch the duty-cycle scheduler multiplex one GPU.
 
 Builds a single backend hosting three sessions with different SLOs —
-the section 4.1 situation — enables execution tracing, pushes traffic
-through it, and renders the resulting Gantt strip. You can see the
+the section 4.1 situation — attaches a trace buffer, pushes traffic
+through it, and renders the buffer's batch executions as a Gantt strip. You can see the
 round-robin duty cycle, batch sizes holding to plan, and idle slack.
 
 Run:  python examples/gpu_timeline.py
@@ -14,7 +14,7 @@ from repro.cluster.messages import Request
 from repro.core import Session, SessionLoad, squishy_bin_packing
 from repro.core.profile import LinearProfile
 from repro.metrics import MetricsCollector, render_gantt
-from repro.observability import Tracer
+from repro.observability import BATCH_EXECUTED, TraceBuffer, Tracer
 from repro.simulation.simulator import Simulator
 from repro.workloads.arrivals import uniform_arrivals
 
@@ -42,8 +42,8 @@ def main() -> None:
     # Deploy the first GPU's schedule on a traced backend and drive it.
     sim = Simulator()
     collector = MetricsCollector()
-    backend = Backend(sim, tracer=Tracer(invocation=collector))
-    backend.trace_enabled = True
+    buffer = TraceBuffer()
+    backend = Backend(sim, tracer=Tracer([buffer], invocation=collector))
     gpu0 = plan.gpus[0]
     backend.set_schedule([
         BackendSession(
@@ -67,9 +67,9 @@ def main() -> None:
 
     print(f"\n{collector.total} requests, "
           f"{collector.good_rate:.1%} within SLO, "
-          f"GPU busy {backend.utilization(horizon):.0%}\n")
-    print(render_gantt(backend.trace, start_ms=0.0, end_ms=horizon,
-                       width=100))
+          f"GPU busy {collector.utilization(1, horizon):.0%}\n")
+    print(render_gantt(buffer.by_kind(BATCH_EXECUTED), start_ms=0.0,
+                       end_ms=horizon, width=100))
 
 
 if __name__ == "__main__":

@@ -48,6 +48,5 @@ def clipper_config(device: str = "gtx1080ti",
         prefix_batching=False,
         query_analysis=False,
         interference_factor=CLIPPER_INTERFERENCE,
-        paced=False,
         seed=seed,
     )

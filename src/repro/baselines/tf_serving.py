@@ -7,7 +7,7 @@ suffer container interference.  It has no frontend load balancer and no
 per-request latency SLO; the paper supplies a dispatcher and picks "the
 maximum batch size for each model, so its SLO is not violated".
 
-Expressed here: batch-oblivious external scheduler, round-robin (cycle)
+Expressed here: batch-oblivious external scheduler, unpaced round-robin
 execution without interference, no CPU/GPU overlap, lazy dropping (there
 is no early admission control), no prefix batching or query analysis.
 """
@@ -32,12 +32,11 @@ def tf_serving_config(device: str = "gtx1080ti",
         device=device,
         max_gpus=max_gpus,
         scheduler="batch_oblivious",
-        pacing="cycle",
+        pacing="round_robin",
         drop_policy="lazy",
         overlap=False,
         prefix_batching=False,
         query_analysis=False,
         interference_factor=0.0,
-        paced=False,
         seed=seed,
     )

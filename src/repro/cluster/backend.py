@@ -6,9 +6,11 @@ cycle, forming each batch with the early-drop policy and overlapping CPU
 pre-/post-processing with GPU execution.  The same class also emulates the
 baselines' execution disciplines through three knobs:
 
-- ``pacing="cycle"`` (Nexus): sessions execute once per duty cycle, which
-  lets batches fill to their planned size; ``pacing="greedy"`` (Clipper /
-  TF Serving): execute whatever is queued whenever the GPU frees up.
+- ``pacing="cycle"`` (Nexus, TF Serving): sessions execute round robin,
+  each at most once per duty cycle, which lets batches fill to their
+  planned size (a zero duty cycle is plain round robin);
+  ``pacing="greedy"`` (Clipper): execute the oldest queued request's
+  session whenever the GPU frees up.
 - ``overlap``: section 6.3's OL -- without it the GPU idles through CPU
   pre/post-processing (the dominant effect in the game study, Figure 10).
 - ``interference_factor``: Clipper runs co-located models in independent
@@ -38,23 +40,7 @@ from .messages import Request
 if TYPE_CHECKING:
     from ..runtime.clock import EventSource, TimerHandle
 
-__all__ = ["BackendSession", "Backend", "ExecutionSpan"]
-
-
-@dataclass
-class ExecutionSpan:
-    """One batched execution on the GPU timeline (for tracing/tools)."""
-
-    gpu_id: int
-    session_id: str
-    start_ms: float
-    end_ms: float
-    batch: int
-    deferred: bool = False
-
-    @property
-    def duration_ms(self) -> float:
-        return self.end_ms - self.start_ms
+__all__ = ["BackendSession", "Backend"]
 
 
 @dataclass
@@ -87,12 +73,11 @@ class _SessionState:
     takes a request off its queue exactly once.
     """
 
-    __slots__ = ("spec", "queue", "deferred", "last_start_ms", "ready_ms")
+    __slots__ = ("spec", "queue", "last_start_ms", "ready_ms")
 
     def __init__(self, spec: BackendSession) -> None:
         self.spec = spec
         self.queue: deque[Request] = deque()
-        self.deferred: list[Request] = []
         self.last_start_ms = -math.inf
         #: absolute time the model finishes loading onto this GPU; no
         #: batch of this session may start earlier.
@@ -106,10 +91,11 @@ class Backend:
         sim: the clock/timer driver (simulator or live event source).
         gpu_id: identifier for metrics.
         tracer: records per-request outcomes and GPU busy time into its
-            invocation collector and emits events to its sinks; the
-            default :data:`~repro.observability.tracer.NULL_TRACER`
-            records nothing, leaving the request callbacks as the only
-            outcome channel.
+            invocation collector and emits events (one ``batch.executed``
+            per batch) to its sinks; the default
+            :data:`~repro.observability.tracer.NULL_TRACER` records
+            nothing, leaving the request callbacks as the only outcome
+            channel.
         pacing: ``"cycle"`` or ``"greedy"`` (see module docstring).
         overlap: CPU/GPU overlap (OL).
         interference_factor: per-extra-co-located-session latency
@@ -126,7 +112,6 @@ class Backend:
         pacing: str = "cycle",
         overlap: bool = True,
         interference_factor: float = 0.0,
-        defer_missed: bool = False,
         tracer: Tracer | None = None,
         device: str = "",
     ) -> None:
@@ -139,12 +124,6 @@ class Backend:
         self.pacing = pacing
         self.overlap = overlap
         self.interference_factor = interference_factor
-        #: section 5: "we could configure our system to simply delay the
-        #: execution of requests that miss their deadlines to a later time
-        #: and at a lower priority" -- the batch-application mode.  Missed
-        #: requests join a deferred queue served only when the GPU would
-        #: otherwise idle; they complete late rather than dropping.
-        self.defer_missed = defer_missed
 
         self._sessions: dict[str, _SessionState] = {}
         self._order: list[str] = []
@@ -164,15 +143,9 @@ class Backend:
         #: multiplier on every batch's execution time (transient stragg-
         #: ler emulation); 1.0 = nominal speed.
         self.slowdown_factor = 1.0
-        #: the in-flight batch, if any: (exec handle, state, batch,
-        #: completion time) -- cancelled wholesale on a crash.
-        self._inflight: tuple[TimerHandle, _SessionState,
-                              list[Request], float] | None = None
-        self.busy_ms = 0.0
-        self.batches_executed = 0
-        #: set True to record an ExecutionSpan per batch (Gantt tooling).
-        self.trace_enabled = False
-        self.trace: list[ExecutionSpan] = []
+        #: the in-flight batch, if any, with its completion timer --
+        #: cancelled wholesale on a crash.
+        self._inflight: tuple[TimerHandle, list[Request]] | None = None
 
     # ------------------------------------------------------------- schedule
 
@@ -193,7 +166,6 @@ class Backend:
             if spec.session_id in old:
                 prev = old[spec.session_id]
                 state.queue = prev.queue
-                state.deferred = prev.deferred
                 state.last_start_ms = prev.last_start_ms
                 # A model still streaming over PCIe stays not-ready across
                 # schedule updates; resetting to the default -inf would let
@@ -208,7 +180,7 @@ class Backend:
             self._order.append(spec.session_id)
         for sid, prev in old.items():
             if sid not in self._sessions:
-                for request in (*prev.queue, *prev.deferred):
+                for request in prev.queue:
                     self._record_drop(request, now, DROP_UNSCHEDULED)
         self._cycle_pos = 0
         self._kick()
@@ -235,18 +207,15 @@ class Backend:
             self._wake.cancel()
             self._wake = None
         if self._inflight is not None:
-            handle, _, batch, completion = self._inflight
+            handle, batch = self._inflight
             handle.cancel()
             self._inflight = None
             self._busy = False
-            # The batch never finished: give back the unspent busy time.
-            self.busy_ms -= max(0.0, completion - now)
             for request in batch:
                 self._fail_request(request, now)
         for state in self._sessions.values():
-            lost = [*state.queue, *state.deferred]
+            lost = state.queue
             state.queue = deque()
-            state.deferred = []
             for request in lost:
                 self._fail_request(request, now)
 
@@ -301,7 +270,7 @@ class Backend:
             )
         wake = self._wake
         if (wake is None or self._busy or self.pacing != "cycle"
-                or self.defer_missed or now >= self._wake_at - 1e-6):
+                or now >= self._wake_at - 1e-6):
             self._kick()
             return
         # Idle with a wake armed: nothing was runnable when it was armed
@@ -355,20 +324,13 @@ class Backend:
             self._arm_wake(now)
             return
 
-        if candidate.startswith("deferred:"):
-            self._run_deferred(self._sessions[candidate.split(":", 1)[1]], now)
-            return
-
         state = self._sessions[candidate]
         batch, dropped = state.spec.policy.select(
             state.queue, now, state.spec.profile
         )
         state.queue = consume_selected(state.queue, batch, dropped)
         for request in dropped:
-            if self.defer_missed:
-                state.deferred.append(request)
-            else:
-                self._record_drop(request, now, DROP_EARLY)
+            self._record_drop(request, now, DROP_EARLY)
         if not batch:
             # Policy had nothing servable; try the next session right away.
             self._advance_cycle(candidate)
@@ -384,22 +346,14 @@ class Backend:
 
         state.last_start_ms = now
         self._busy = True
-        self.busy_ms += exec_ms
-        self.batches_executed += 1
         self.tracer.batch_executed(
             now, exec_ms, self.gpu_id, state.spec.session_id, len(batch)
         )
-        completion = now + exec_ms
-        if self.trace_enabled:
-            self.trace.append(ExecutionSpan(
-                self.gpu_id, state.spec.session_id, now, completion,
-                len(batch),
-            ))
         self._advance_cycle(candidate)
         handle = self.sim.schedule(
-            exec_ms, lambda: self._on_batch_done(state, batch, completion)
+            exec_ms, lambda: self._on_batch_done(state, batch)
         )
-        self._inflight = (handle, state, batch, completion)
+        self._inflight = (handle, batch)
 
     def _pick_session(self, now: float) -> str | None:
         """Choose the next session to execute, honoring pacing."""
@@ -447,44 +401,7 @@ class Backend:
             head = state.queue[0]
             if self._at_risk(state, head, now) and head.deadline_ms < best_deadline:
                 best, best_deadline = sid, head.deadline_ms
-        if best is not None:
-            return best
-        # Lowest priority: deferred (already-missed) work runs only when
-        # nothing live is runnable (section 5's delay-at-lower-priority
-        # option).
-        if self.defer_missed:
-            for sid in self._order:
-                state = self._sessions[sid]
-                if state.deferred and not state.queue:
-                    return f"deferred:{sid}"
-        return None
-
-    def _run_deferred(self, state: _SessionState, now: float) -> None:
-        """Serve a batch of already-missed requests at low priority."""
-        size = min(len(state.deferred), state.spec.target_batch,
-                   state.spec.profile.max_batch)
-        batch, state.deferred = state.deferred[:size], state.deferred[size:]
-        exec_ms = state.spec.profile.occupancy_time(
-            len(batch), overlap=self.overlap
-        ) * self.slowdown_factor
-        state.last_start_ms = now
-        self._busy = True
-        self.busy_ms += exec_ms
-        self.batches_executed += 1
-        self.tracer.batch_executed(
-            now, exec_ms, self.gpu_id, state.spec.session_id, len(batch),
-            deferred=True,
-        )
-        completion = now + exec_ms
-        if self.trace_enabled:
-            self.trace.append(ExecutionSpan(
-                self.gpu_id, state.spec.session_id, now, completion,
-                len(batch), deferred=True,
-            ))
-        handle = self.sim.schedule(
-            exec_ms, lambda: self._on_batch_done(state, batch, completion)
-        )
-        self._inflight = (handle, state, batch, completion)
+        return best
 
     def _at_risk(
         self, state: _SessionState, head: Request, now: float
@@ -514,9 +431,6 @@ class Backend:
                 wake = self._session_wake(state)
                 if wake < next_wake:
                     next_wake = wake
-        if self.defer_missed and not math.isfinite(next_wake):
-            if any(s.deferred for s in self._sessions.values()):
-                next_wake = now
         if math.isfinite(next_wake):
             self._schedule_wake(next_wake, now)
 
@@ -542,11 +456,9 @@ class Backend:
         self._wake_at = now + delay
         self._wake_due = due_ms
 
-    def _on_batch_done(
-        self, state: _SessionState, batch: list[Request], completion: float
-    ) -> None:
+    def _on_batch_done(self, state: _SessionState, batch: list[Request]) -> None:
         # SLO verdicts and completion timestamps use the *actual* fire
-        # time, not the ``completion`` the batch was scheduled for: under
+        # time, not the instant the batch was scheduled to end: under
         # the simulator they are identical, but a wall-clock timer can
         # land late, and judging requests against the planned instant
         # would silently mark late work on-time.
@@ -579,8 +491,3 @@ class Backend:
             )
         if request.on_drop is not None:
             request.on_drop(request, now)
-
-    def utilization(self, span_ms: float) -> float:
-        if span_ms <= 0:
-            return 0.0
-        return min(1.0, self.busy_ms / span_ms)

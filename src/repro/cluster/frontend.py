@@ -215,11 +215,6 @@ class Frontend:
         #: leaves every other app's fan-out sequence unchanged.
         self._fanout_rngs: dict[str, np.random.Generator] = {}
         self.retry_policy = retry_policy or RetryPolicy()
-        self.dispatched = 0
-        self.routing_failures = 0
-        #: re-dispatches after backend failures / terminal retry drops.
-        self.retries = 0
-        self.retry_drops = 0
         #: observed per-query arrival counters for workload statistics
         #: (whole queries, counted at submission -- robust to source-stage
         #: roots that never dispatch); the control plane reads and resets
@@ -254,7 +249,6 @@ class Frontend:
             context=context,
         )
         if backend is None:
-            self.routing_failures += 1
             self.tracer.route_failed(now, session_id)
             self.tracer.request_dropped(
                 now, session_id, request.request_id, now, request.deadline_ms,
@@ -263,7 +257,6 @@ class Frontend:
             if on_drop is not None:
                 on_drop(request, now)
             return False
-        self.dispatched += 1
         backend.enqueue(request)
         return True
 
@@ -333,7 +326,6 @@ class Frontend:
             self._handle_backend_failure, 0, (instance, stage),
         )
         if backend is None:
-            self.routing_failures += 1
             self.tracer.route_failed(now, session_id)
             self.tracer.request_dropped(
                 now, session_id, request.request_id, now, deadline,
@@ -341,7 +333,6 @@ class Frontend:
             )
             instance.stage_dropped(stage, now)
             return
-        self.dispatched += 1
         backend.enqueue(request)
 
     def _stage_complete(self, request: Request, t: float, ok: bool) -> None:
@@ -382,7 +373,6 @@ class Frontend:
             self._final_fail_drop(request, now)
             return
         request.attempt += 1
-        self.retries += 1
         self.tracer.request_retried(
             now, request.session_id, request.request_id,
             attempt=request.attempt, backoff_ms=backoff,
@@ -401,11 +391,9 @@ class Frontend:
             # retry budget keeps probing.
             self._handle_backend_failure(request, now)
             return
-        self.dispatched += 1
         backend.enqueue(request)
 
     def _final_fail_drop(self, request: Request, now: float) -> None:
-        self.retry_drops += 1
         self.tracer.request_dropped(
             now, request.session_id, request.request_id,
             request.arrival_ms, request.deadline_ms, DROP_BACKEND_FAILED,

@@ -45,17 +45,22 @@ def make_policy(kind: str, target_batch: int) -> DropPolicy:
     raise ValueError(f"unknown drop policy {kind!r}")
 
 
+#: ``PoolConfig.pacing`` -> the backends' execution discipline.
+_BACKEND_PACING = {"cycle": "cycle", "round_robin": "cycle", "greedy": "greedy"}
+
+
 @dataclass
 class PoolConfig:
     """Runtime knobs applied to every backend in the pool."""
 
+    #: "cycle" paces each session to its planned duty cycle (Nexus's GPU
+    #: scheduler); "round_robin" and "greedy" run with zero duty cycles,
+    #: executing as soon as the GPU frees up -- round robin across
+    #: sessions (TF Serving) or oldest request first (Clipper).
     pacing: str = "cycle"
     overlap: bool = True
     drop_policy: str = "early"
     interference_factor: float = 0.0
-    #: pace each session to its planned duty cycle (Nexus's GPU scheduler);
-    #: baselines execute as soon as the GPU frees up.
-    paced: bool = True
     #: hard cap on backend slots (the physical cluster size); ``None`` =
     #: draft freely.  With a cap, a failed backend's slot stays dead --
     #: recovery must re-pack onto the survivors, not draft a replacement.
@@ -72,6 +77,10 @@ class PoolConfig:
     #: to same-class slots, and switches plan validation to per-class
     #: memory/consistency invariants.  ``None`` = homogeneous cluster.
     fleet: Fleet | None = None
+
+    def __post_init__(self) -> None:
+        if self.pacing not in _BACKEND_PACING:
+            raise ValueError(f"unknown pacing {self.pacing!r}")
 
 
 class BackendPool:
@@ -158,7 +167,7 @@ class BackendPool:
                 backend.device = gpu_plan.device
             specs = []
             for alloc in gpu_plan.allocations:
-                if not self.config.paced:
+                if self.config.pacing != "cycle":
                     duty = 0.0
                 else:
                     duty = (
@@ -243,7 +252,7 @@ class BackendPool:
                     self.sim,
                     gpu_id=len(self.backends),
                     tracer=self.tracer,
-                    pacing=self.config.pacing,
+                    pacing=_BACKEND_PACING[self.config.pacing],
                     overlap=self.config.overlap,
                     interference_factor=self.config.interference_factor,
                 )

@@ -26,7 +26,7 @@ import heapq
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..core.epoch import EpochScheduler
@@ -114,13 +114,16 @@ class ClusterConfig:
     #: price_per_hour per unit throughput (Table 1 generalized).
     objective: str = "gpus"
     scheduler: str = "squishy"          # "squishy" | "batch_oblivious"
-    pacing: str = "cycle"               # "cycle" | "greedy"
+    #: GPU execution discipline: "cycle" paces each session to its
+    #: planned duty cycle (Nexus's GPU scheduler), "round_robin" cycles
+    #: through the sessions unpaced (TF Serving), "greedy" serves the
+    #: oldest queued request's session first (Clipper).
+    pacing: str = "cycle"
     drop_policy: str = "early"          # "early" | "lazy"
     overlap: bool = True                # OL
     prefix_batching: bool = True        # PB
     query_analysis: bool = True         # QA
     interference_factor: float = 0.0    # Clipper-style container interference
-    paced: bool = True                  # duty-cycle pacing (Nexus GPU scheduler)
     #: capacity cushion: plan for (1 + headroom) x the offered rate so the
     #: deployment is not balanced on a knife edge (real deployments do the
     #: same; the paper's 84%-of-optimal utilization reflects such slack).
@@ -273,6 +276,32 @@ def equivalence_report(result: ClusterResult) -> str:
         "detections": result.detections,
     }
     return json.dumps(payload, sort_keys=True)
+
+
+def _pack_scaled(
+    loads: list[SessionLoad], memory: int, scale: float
+) -> SchedulePlan:
+    """Squishy-pack ``loads`` with every rate multiplied by ``scale``."""
+    scaled = [l.with_rate(l.rate_rps * scale) for l in loads]
+    return squishy_bin_packing(scaled, memory_capacity=memory)
+
+
+def _bisect_scale(
+    loads: list[SessionLoad], memory: int, max_gpus: int,
+    lo: float, hi: float, best: SchedulePlan, steps: int,
+) -> SchedulePlan:
+    """Bisect the rate scale between ``lo`` (fits, packed as ``best``)
+    and ``hi`` for ``steps`` midpoints; the last pack that fits
+    ``max_gpus`` wins."""
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        cand = _pack_scaled(loads, memory, mid)
+        if cand.num_gpus <= max_gpus:
+            lo = mid
+            best = cand
+        else:
+            hi = mid
+    return best
 
 
 class NexusCluster:
@@ -594,23 +623,10 @@ class NexusCluster:
         shed fraction uniformly); dropping whole GPU plans would zero out
         some sessions entirely.
         """
-        def pack_at(scale: float) -> SchedulePlan:
-            scaled = [l.with_rate(l.rate_rps * scale) for l in loads]
-            return squishy_bin_packing(scaled, memory_capacity=memory)
-
-        lo, hi = 0.02, 1.0
-        best = pack_at(lo)
+        best = _pack_scaled(loads, memory, 0.02)
         if best.num_gpus > max_gpus:
             return best  # even 2% does not fit; nothing better to do
-        for _ in range(12):
-            mid = (lo + hi) / 2
-            cand = pack_at(mid)
-            if cand.num_gpus <= max_gpus:
-                lo = mid
-                best = cand
-            else:
-                hi = mid
-        return best
+        return _bisect_scale(loads, memory, max_gpus, 0.02, 1.0, best, 12)
 
     @staticmethod
     def _expand(
@@ -628,25 +644,13 @@ class NexusCluster:
         """
         if plan.num_gpus >= max_gpus:
             return plan
-
-        def pack_at(scale: float) -> SchedulePlan:
-            scaled = [l.with_rate(l.rate_rps * scale) for l in loads]
-            return squishy_bin_packing(scaled, memory_capacity=memory)
-
         lo, hi = 1.0, 2.0
         best = plan
         scale_cap = _EXPAND_SCALE_SLACK * max_gpus
-        while (cand := pack_at(hi)).num_gpus <= max_gpus and hi < scale_cap:
+        while ((cand := _pack_scaled(loads, memory, hi)).num_gpus <= max_gpus
+               and hi < scale_cap):
             lo, hi, best = hi, hi * 2, cand
-        for _ in range(10):
-            mid = (lo + hi) / 2
-            cand = pack_at(mid)
-            if cand.num_gpus <= max_gpus:
-                lo = mid
-                best = cand
-            else:
-                hi = mid
-        return best
+        return _bisect_scale(loads, memory, max_gpus, lo, hi, best, 10)
 
     # -------------------------------------------------------------- running
 

@@ -30,7 +30,6 @@ def _nexus_parallel_config(device: str) -> ClusterConfig:
         device=device, max_gpus=1, scheduler="squishy", pacing="greedy",
         drop_policy="early", overlap=True, prefix_batching=False,
         query_analysis=False, interference_factor=CLIPPER_INTERFERENCE / 2,
-        paced=False,
     )
 
 

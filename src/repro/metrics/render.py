@@ -1,8 +1,9 @@
 """Plain-text rendering for timelines and GPU traces.
 
 Terminal-friendly views of what a run did: sparkline-style series (the
-Figure-13 panels), and Gantt strips of per-GPU execution spans (from
-:attr:`repro.cluster.backend.Backend.trace`).  No plotting dependencies;
+Figure-13 panels), and Gantt strips of per-GPU batch executions (the
+tracer's ``batch.executed`` events, e.g.
+``TraceBuffer.by_kind(BATCH_EXECUTED)``).  No plotting dependencies;
 everything renders to strings.
 """
 
@@ -69,17 +70,18 @@ def render_gantt(
     end_ms: float | None = None,
     width: int = 80,
 ) -> str:
-    """Render execution spans as one text strip per GPU.
+    """Render ``batch.executed`` events as one text strip per GPU.
 
-    Each GPU row shows letters identifying sessions (assigned in first-seen
-    order), ``.`` for idle time, with a legend mapping letters to session
-    ids.  Overlapping spans on one GPU would indicate a scheduler bug and
-    raise ValueError.
+    A span is read through ``ts_ms`` / ``end_ms`` / ``gpu_id`` /
+    ``session_id``.  Each GPU row shows letters identifying sessions
+    (assigned in first-seen order), ``.`` for idle time, with a legend
+    mapping letters to session ids.  Overlapping spans on one GPU would
+    indicate a scheduler bug and raise ValueError.
     """
-    spans = sorted(spans, key=lambda s: (s.gpu_id, s.start_ms))
+    spans = sorted(spans, key=lambda s: (s.gpu_id, s.ts_ms))
     if not spans:
         return "(no spans)"
-    t0 = start_ms if start_ms is not None else min(s.start_ms for s in spans)
+    t0 = start_ms if start_ms is not None else min(s.ts_ms for s in spans)
     t1 = end_ms if end_ms is not None else max(s.end_ms for s in spans)
     if t1 <= t0:
         raise ValueError(f"empty window [{t0}, {t1}]")
@@ -96,15 +98,15 @@ def render_gantt(
     rows: dict[int, list[str]] = {}
     last_end: dict[int, float] = {}
     for span in spans:
-        if span.end_ms <= t0 or span.start_ms >= t1:
+        if span.end_ms <= t0 or span.ts_ms >= t1:
             continue
-        if span.gpu_id in last_end and span.start_ms < last_end[span.gpu_id] - 1e-6:
+        if span.gpu_id in last_end and span.ts_ms < last_end[span.gpu_id] - 1e-6:
             raise ValueError(
-                f"overlapping spans on gpu{span.gpu_id} at {span.start_ms}"
+                f"overlapping spans on gpu{span.gpu_id} at {span.ts_ms}"
             )
         last_end[span.gpu_id] = span.end_ms
         row = rows.setdefault(span.gpu_id, ["."] * width)
-        a = max(0, int((span.start_ms - t0) * scale))
+        a = max(0, int((span.ts_ms - t0) * scale))
         b = min(width, max(a + 1, int(math.ceil((span.end_ms - t0) * scale))))
         ch = letter(span.session_id)
         for i in range(a, b):

@@ -117,7 +117,6 @@ class ServingRuntime:
                 overlap=cfg.overlap,
                 drop_policy=cfg.drop_policy,
                 interference_factor=cfg.interference_factor,
-                paced=cfg.paced,
                 max_backends=max_backends,
                 # Algorithm-1 invariant assertion layer: every deployed
                 # squishy plan must be provably SLO- and memory-sound.

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from repro.cluster.backend import Backend, BackendSession
 from repro.cluster.messages import Request
-from repro.core.drop import EarlyDropPolicy, LazyDropPolicy
 from repro.core.profile import LinearProfile
 from repro.metrics.collector import MetricsCollector
-from repro.observability import Tracer
+from repro.observability import BATCH_EXECUTED, TraceBuffer, Tracer
 from repro.simulation.simulator import Simulator
 
 
@@ -25,12 +24,17 @@ def spec(session_id="s", alpha=1.0, beta=5.0, slo=100.0, batch=8,
     )
 
 
-def make_backend(sim=None, **kw):
+def make_backend(sim=None, buffer=None, **kw):
     sim = sim or Simulator()
     collector = MetricsCollector()
+    sinks = [buffer] if buffer is not None else []
     return sim, collector, Backend(
-        sim, tracer=Tracer(invocation=collector), **kw
+        sim, tracer=Tracer(sinks, invocation=collector), **kw
     )
+
+
+def batches(buffer):
+    return buffer.by_kind(BATCH_EXECUTED)
 
 
 def submit(sim, backend, session_id, at_ms, slo=100.0, results=None):
@@ -62,14 +66,15 @@ class TestBasicExecution:
         assert t == pytest.approx(10.0 + 6.0)  # l(1) = 6
 
     def test_batch_forms_while_busy(self):
-        sim, coll, backend = make_backend()
+        buffer = TraceBuffer()
+        sim, coll, backend = make_backend(buffer=buffer)
         backend.set_schedule([spec(beta=20.0)])
         results = []
         for t in (0.0, 1.0, 2.0, 3.0):
             submit(sim, backend, "s", t, results=results)
         sim.run()
         # First request executes alone (l(1)=21); the rest batch together.
-        assert backend.batches_executed == 2
+        assert [e.batch for e in batches(buffer)] == [1, 3]
         assert all(r[0] == "done" for r in results)
 
     def test_misrouted_request_dropped(self):
@@ -94,8 +99,8 @@ class TestBasicExecution:
         backend.set_schedule([spec()])
         submit(sim, backend, "s", 0.0)
         sim.run()
-        assert backend.busy_ms == pytest.approx(6.0)
-        assert backend.utilization(60.0) == pytest.approx(0.1)
+        assert coll.gpu_busy_ms == {0: pytest.approx(6.0)}
+        assert coll.utilization(1, 60.0) == pytest.approx(0.1)
 
 
 class TestCyclePacing:
@@ -114,21 +119,20 @@ class TestCyclePacing:
 
     def test_duty_cycle_paces_execution(self):
         """A session with a long duty cycle does not re-run immediately."""
-        sim, coll, backend = make_backend(pacing="cycle")
+        buffer = TraceBuffer()
+        sim, coll, backend = make_backend(buffer=buffer, pacing="cycle")
         backend.set_schedule([spec("a", duty=40.0, batch=4)])
-        starts = []
-        orig = backend._try_dispatch
-
         submit(sim, backend, "a", 0.0)
         submit(sim, backend, "a", 8.0)   # arrives after first batch started
         sim.run()
         # Two executions: at t=0 and not before duty 40 (queue not full).
-        assert backend.batches_executed == 2
+        assert [e.ts_ms for e in batches(buffer)] == [0.0, 40.0]
         recs = sorted(coll.records, key=lambda r: r.arrival_ms)
         assert recs[1].completion_ms >= 40.0
 
     def test_full_queue_overrides_pacing(self):
-        sim, coll, backend = make_backend(pacing="cycle")
+        buffer = TraceBuffer()
+        sim, coll, backend = make_backend(buffer=buffer, pacing="cycle")
         backend.set_schedule([spec("a", duty=1000.0, batch=2, slo=3000.0)])
         for t in (0.0, 1.0, 2.0, 3.0):
             submit(sim, backend, "a", t, slo=3000.0)
@@ -136,7 +140,7 @@ class TestCyclePacing:
         # First arrival runs immediately (batch 1); the next two fill the
         # target and run without waiting out the 1000 ms duty cycle; the
         # last request alone must wait for the next cycle.
-        assert backend.batches_executed == 3
+        assert [e.batch for e in batches(buffer)] == [1, 2, 1]
         done = sorted(r.completion_ms for r in coll.records)
         assert done[2] < 500.0
         assert done[3] >= 1000.0
@@ -168,7 +172,7 @@ class TestInterference:
             backend.set_schedule([spec("a", duty=0.0), spec("b", duty=0.0)])
             submit(sim, backend, "a", 0.0)
             sim.run()
-            return backend.busy_ms
+            return coll.gpu_busy_ms[0]
 
         assert run(0.5) == pytest.approx(run(0.0) * 1.5)
 
@@ -177,7 +181,7 @@ class TestInterference:
         backend.set_schedule([spec("a")])
         submit(sim, backend, "a", 0.0)
         sim.run()
-        assert backend.busy_ms == pytest.approx(6.0)
+        assert coll.gpu_busy_ms[0] == pytest.approx(6.0)
 
 
 class TestOverlap:
@@ -187,7 +191,7 @@ class TestOverlap:
             backend.set_schedule([spec("a", pre_ms=10.0)])
             submit(sim, backend, "a", 0.0)
             sim.run()
-            return backend.busy_ms
+            return coll.gpu_busy_ms[0]
 
         assert run(False) > run(True)
 
@@ -217,11 +221,13 @@ class TestScheduleUpdates:
         assert any(r[0] == "drop" for r in results)
 
     def test_empty_schedule_idles(self):
-        sim, coll, backend = make_backend()
+        buffer = TraceBuffer()
+        sim, coll, backend = make_backend(buffer=buffer)
         backend.set_schedule([])
         submit(sim, backend, "a", 0.0)
         sim.run()
-        assert backend.batches_executed == 0
+        assert batches(buffer) == []
+        assert coll.gpu_busy_ms == {}
 
     def test_pacing_validation(self):
         with pytest.raises(ValueError):
@@ -233,93 +239,49 @@ class TestScheduleUpdates:
 
 
 class TestDeferredExecution:
-    """Section 5's delay-at-lower-priority option (batch applications)."""
+    """Section 5's delay-at-lower-priority mode is not modelled: a
+    request that cannot meet its deadline is shed, never served late."""
 
-    def _run(self, defer):
-        sim = Simulator()
-        collector = MetricsCollector()
-        backend = Backend(sim, tracer=Tracer(invocation=collector),
-                          defer_missed=defer)
+    def test_drop_mode_sheds(self):
+        sim, coll, backend = make_backend()
         # beta large so a burst cannot all meet the tight SLO.
         backend.set_schedule([spec("a", alpha=1.0, beta=30.0, slo=40.0,
                                    batch=2, duty=0.0)])
         for t in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0):
             submit(sim, backend, "a", t, slo=40.0)
         sim.run()
-        return collector
-
-    def test_drop_mode_sheds(self):
-        coll = self._run(defer=False)
-        assert coll.dropped_count > 0
-
-    def test_defer_mode_serves_everything_late(self):
-        coll = self._run(defer=True)
-        assert coll.dropped_count == 0
         assert coll.total == 6
-        assert coll.late_count > 0  # served, but past deadline
-
-    def test_defer_does_not_starve_live_traffic(self):
-        sim = Simulator()
-        collector = MetricsCollector()
-        backend = Backend(sim, tracer=Tracer(invocation=collector),
-                          defer_missed=True)
-        backend.set_schedule([spec("a", alpha=1.0, beta=30.0, slo=40.0,
-                                   batch=2, duty=0.0)])
-        # A hopeless early burst, then well-spaced live traffic.
-        for t in (0.0, 1.0, 2.0, 3.0):
-            submit(sim, backend, "a", t, slo=40.0)
-        for t in (200.0, 400.0, 600.0):
-            submit(sim, backend, "a", t, slo=100.0)
-        sim.run()
-        live = [r for r in collector.records if r.arrival_ms >= 200.0]
-        assert all(r.ok for r in live)
+        assert coll.dropped_count > 0
+        assert coll.late_count == 0
 
 
 class TestExecutionTrace:
-    def test_trace_disabled_by_default(self):
-        sim, coll, backend = make_backend()
-        backend.set_schedule([spec("a")])
-        submit(sim, backend, "a", 0.0)
-        sim.run()
-        assert backend.trace == []
+    """Each batch reaches the tracer's sinks as one ``batch.executed``."""
 
     def test_trace_records_spans(self):
-        sim, coll, backend = make_backend()
-        backend.trace_enabled = True
+        buffer = TraceBuffer()
+        sim, coll, backend = make_backend(buffer=buffer)
         backend.set_schedule([spec("a")])
         submit(sim, backend, "a", 0.0)
         submit(sim, backend, "a", 100.0)
         sim.run()
-        assert len(backend.trace) == 2
-        span = backend.trace[0]
-        assert span.session_id == "a"
-        assert span.batch == 1
-        assert span.duration_ms == pytest.approx(6.0)
-        assert not span.deferred
+        spans = batches(buffer)
+        assert len(spans) == 2
+        span = spans[0]
+        assert (span.gpu_id, span.session_id, span.batch) == (0, "a", 1)
+        assert span.dur_ms == pytest.approx(6.0)
+        assert span.reason is None
 
     def test_spans_never_overlap(self):
-        sim, coll, backend = make_backend()
-        backend.trace_enabled = True
+        buffer = TraceBuffer()
+        sim, coll, backend = make_backend(buffer=buffer)
         backend.set_schedule([spec("a", beta=20.0), spec("b", beta=20.0)])
         for t in range(0, 100, 7):
             submit(sim, backend, "a" if t % 2 else "b", float(t), slo=500.0)
         sim.run()
-        spans = sorted(backend.trace, key=lambda s: s.start_ms)
+        spans = batches(buffer)
         for s1, s2 in zip(spans, spans[1:]):
-            assert s2.start_ms >= s1.end_ms - 1e-9
-
-    def test_deferred_spans_flagged(self):
-        sim = Simulator()
-        coll = MetricsCollector()
-        backend = Backend(sim, tracer=Tracer(invocation=coll),
-                          defer_missed=True)
-        backend.trace_enabled = True
-        backend.set_schedule([spec("a", alpha=1.0, beta=30.0, slo=40.0,
-                                   batch=2, duty=0.0)])
-        for t in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0):
-            submit(sim, backend, "a", t, slo=40.0)
-        sim.run()
-        assert any(s.deferred for s in backend.trace)
+            assert s2.ts_ms >= s1.end_ms - 1e-9
 
 
 class TestModelLoading:
@@ -428,8 +390,8 @@ class TestIdleEnqueueFastPath:
     @staticmethod
     def _replay(cls, sessions, arrivals):
         sim = Simulator()
-        backend = cls(sim)
-        backend.trace_enabled = True
+        buffer = TraceBuffer()
+        backend = cls(sim, tracer=Tracer([buffer]))
         specs = []
         for i, (alpha, beta, slo, batch, duty, load) in enumerate(sessions):
             s = spec(f"s{i}", alpha=alpha, beta=beta, slo=slo, batch=batch,
@@ -452,8 +414,8 @@ class TestIdleEnqueueFastPath:
                               on_drop=dropped)
             sim.schedule_at(at_ms, lambda r=request: backend.enqueue(r))
         sim.run()
-        trace = [(x.session_id, x.start_ms, x.end_ms, x.batch)
-                 for x in backend.trace]
+        trace = [(x.session_id, x.ts_ms, x.end_ms, x.batch)
+                 for x in batches(buffer)]
         return trace, outcomes, sim.events_processed
 
     @given(st.lists(_session_specs, min_size=1, max_size=6),

@@ -1,5 +1,7 @@
 """Tests for the baseline schedulers and system configurations."""
 
+import hashlib
+
 import pytest
 
 from repro.baselines import (
@@ -8,9 +10,14 @@ from repro.baselines import (
     clipper_config,
     tf_serving_config,
 )
+from repro.cluster.nexus import ClusterConfig, equivalence_report
 from repro.core.profile import LinearProfile
 from repro.core.session import Session, SessionLoad
 from repro.core.squishy import squishy_bin_packing
+from repro.experiments.fig14 import (
+    _nexus_parallel_config,
+    make_multiplex_cluster,
+)
 
 
 def load(name, slo, rate, alpha=1.0, beta=10.0):
@@ -79,18 +86,49 @@ class TestBaselineConfigs:
         assert not cfg.prefix_batching
         assert not cfg.query_analysis
         assert cfg.interference_factor == CLIPPER_INTERFERENCE
-        assert not cfg.paced
         assert cfg.max_gpus == 4
 
     def test_tf_serving_profile(self):
         cfg = tf_serving_config(max_gpus=4)
         assert cfg.scheduler == "batch_oblivious"
-        assert cfg.pacing == "cycle"
+        assert cfg.pacing == "round_robin"
         assert cfg.drop_policy == "lazy"
         assert not cfg.overlap
         assert cfg.interference_factor == 0.0
-        assert not cfg.paced
 
     def test_configs_differ_in_interference(self):
         assert clipper_config().interference_factor > \
             tf_serving_config().interference_factor
+
+
+#: sha256 of ``equivalence_report`` for three Inception copies sharing
+#: one GPU at 150 r/s with a 100 ms SLO for 2 s (fig14's workload), one
+#: per execution discipline: greedy + interference (Clipper), unpaced
+#: round robin (TF Serving), greedy without the container penalty
+#: (Nexus-parallel) and duty-cycle pacing (Nexus).
+_PACING_RUNS = {
+    "clipper": (
+        lambda: clipper_config(max_gpus=1),
+        "becdb39f3e8527f1cd0463bce4de41825b43e9a16219d914a84de48a6b1d8fa9",
+    ),
+    "tf_serving": (
+        lambda: tf_serving_config(max_gpus=1),
+        "54bebfdfe346e3b97308c07facee8737bda1106288d8fd536a162097305f9b36",
+    ),
+    "nexus_parallel": (
+        lambda: _nexus_parallel_config("gtx1080ti"),
+        "2f25135c44e636ea5afaebfc5f844a89886e79b6787273dd35843186eb32c925",
+    ),
+    "nexus": (
+        lambda: ClusterConfig(max_gpus=1),
+        "f4a931f12b554ee04f23269487885c747fc8be949245ae7711716a6f418f5830",
+    ),
+}
+
+
+@pytest.mark.parametrize("system", sorted(_PACING_RUNS))
+def test_pacing_runs_are_pinned(system):
+    make_config, digest = _PACING_RUNS[system]
+    cluster = make_multiplex_cluster(make_config(), 150.0, 3, 100.0)
+    report = equivalence_report(cluster.run(2_000.0))
+    assert hashlib.sha256(report.encode()).hexdigest() == digest

@@ -54,9 +54,3 @@ def test_trace_inspection():
     out = run_example("trace_inspection.py")
     assert "batch-size histogram" in out
     assert "within its SLO" in out
-
-
-def test_batch_analytics():
-    out = run_example("batch_analytics.py")
-    assert "answered 100.0%" in out
-    assert "dropped" in out

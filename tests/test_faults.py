@@ -27,6 +27,7 @@ from repro.observability import (
     Tracer,
     capture_trace,
     chrome_trace,
+    drop_reasons,
     prometheus_snapshot,
 )
 from repro.observability.events import (
@@ -199,7 +200,10 @@ class TestFrontendRetry:
 
     def test_lost_request_retries_on_survivor(self):
         sim = Simulator()
-        backends, routing, frontend = self._cluster(sim)
+        buffer = TraceBuffer()
+        backends, routing, frontend = self._cluster(
+            sim, tracer=Tracer([buffer]),
+        )
         results = []
         sim.schedule_at(0.0, lambda: frontend.submit_request(
             "s", 100.0,
@@ -208,8 +212,8 @@ class TestFrontendRetry:
         ))
         sim.schedule_at(1.0, lambda: backends[0].fail())
         sim.run()
-        assert frontend.retries == 1
-        assert frontend.retry_drops == 0
+        assert len(buffer.by_kind(REQUEST_RETRIED)) == 1
+        assert buffer.by_kind(REQUEST_DROPPED) == []
         assert results == [("done", results[0][1], True)]
 
     def test_retries_exhaust_to_single_terminal_drop(self):
@@ -228,8 +232,6 @@ class TestFrontendRetry:
         sim.schedule_at(1.0, lambda: backends[0].fail())
         sim.schedule_at(1.0, lambda: backends[1].fail())
         sim.run()
-        assert frontend.retries == 3
-        assert frontend.retry_drops == 1
         # Exactly one terminal outcome for the logical request.
         assert [r[0] for r in results] == ["drop"]
         retried = [e for e in buffer.events if e.kind == REQUEST_RETRIED]
@@ -241,7 +243,10 @@ class TestFrontendRetry:
     def test_deadline_caps_the_retry_budget(self):
         sim = Simulator()
         policy = RetryPolicy(max_retries=10, backoff_ms=50.0)
-        backends, routing, frontend = self._cluster(sim, policy=policy)
+        buffer = TraceBuffer()
+        backends, routing, frontend = self._cluster(
+            sim, policy=policy, tracer=Tracer([buffer]),
+        )
         results = []
         sim.schedule_at(0.0, lambda: frontend.submit_request(
             "s", 80.0,
@@ -253,8 +258,8 @@ class TestFrontendRetry:
         # Backoff outlives the 80 ms deadline long before 10 attempts:
         # the moment a backoff would land past the deadline, the request
         # drops immediately instead of arming a doomed redispatch timer.
-        assert frontend.retry_drops == 1
-        assert frontend.retries < 10
+        assert drop_reasons(buffer.events) == {DROP_BACKEND_FAILED: 1}
+        assert len(buffer.by_kind(REQUEST_RETRIED)) < 10
         assert results[0][0] == "drop"
         # The drop is charged to the failure instant, not to a timer
         # firing after the deadline had already passed.

@@ -8,11 +8,13 @@ from repro.core.profile import LinearProfile
 from repro.core.query import Query, QueryStage
 from repro.metrics.collector import MetricsCollector
 from repro.observability import TraceBuffer, Tracer, drop_reasons
+from repro.observability.events import REQUEST_ADMITTED, ROUTE_FAILED
 from repro.simulation.simulator import Simulator
 
 
-def make_backend(sim, session_ids, alpha=1.0, beta=2.0, slo=200.0):
-    backend = Backend(sim)
+def make_backend(sim, session_ids, alpha=1.0, beta=2.0, slo=200.0,
+                 tracer=None):
+    backend = Backend(sim, tracer=tracer)
     backend.set_schedule([
         BackendSession(
             session_id=sid,
@@ -23,6 +25,11 @@ def make_backend(sim, session_ids, alpha=1.0, beta=2.0, slo=200.0):
         for sid in session_ids
     ])
     return backend
+
+
+def admitted(buffer):
+    """Requests the frontend dispatched that a backend admitted."""
+    return len(buffer.by_kind(REQUEST_ADMITTED))
 
 
 class TestRoutingTable:
@@ -73,13 +80,14 @@ class TestSingleRequests:
 
     def test_unroutable_request_dropped(self):
         sim = Simulator()
-        frontend = Frontend(sim, RoutingTable())
+        buffer = TraceBuffer()
+        frontend = Frontend(sim, RoutingTable(), tracer=Tracer([buffer]))
         dropped = []
         ok = frontend.submit_request("ghost", 100.0,
                                      on_drop=lambda r, t: dropped.append(t))
         assert not ok
         assert dropped == [0.0]
-        assert frontend.routing_failures == 1
+        assert len(buffer.by_kind(ROUTE_FAILED)) == 1
 
     def test_unroutable_drops_reach_collector_and_stream(self):
         """Both unroutable paths -- a single request and a query stage --
@@ -96,11 +104,13 @@ class TestSingleRequests:
         frontend.submit_query(two_stage_query())
         assert drop_reasons(buffer.events) == {"unroutable": 2}
         assert collector.dropped_count == 2
-        assert frontend.routing_failures == 2
+        assert len(buffer.by_kind(ROUTE_FAILED)) == 2
 
     def test_counters_accumulate_and_reset(self):
         sim = Simulator()
-        backend = make_backend(sim, ["app/det", "app/rec"])
+        buffer = TraceBuffer()
+        backend = make_backend(sim, ["app/det", "app/rec"],
+                               tracer=Tracer([buffer]))
         table = RoutingTable()
         table.set_routes("app/det", [(backend, 1.0)])
         table.set_routes("app/rec", [(backend, 1.0)])
@@ -109,7 +119,7 @@ class TestSingleRequests:
             frontend.submit_query(two_stage_query())
         sim.run()
         # Whole queries, not stage requests: two stages, five arrivals.
-        assert frontend.dispatched == 10
+        assert admitted(buffer) == 10
         assert frontend.read_and_reset_query_counters() == {"app": 5}
         assert frontend.read_and_reset_query_counters() == {}
 
@@ -125,7 +135,9 @@ def two_stage_query(gamma=1.0, slo=300.0):
 class TestQueryOrchestration:
     def _setup(self, gamma=1.0, slo=300.0):
         sim = Simulator()
-        backend = make_backend(sim, ["app/det", "app/rec"])
+        self.buffer = TraceBuffer()
+        backend = make_backend(sim, ["app/det", "app/rec"],
+                               tracer=Tracer([self.buffer]))
         table = RoutingTable()
         table.set_routes("app/det", [(backend, 1.0)])
         table.set_routes("app/rec", [(backend, 1.0)])
@@ -145,14 +157,14 @@ class TestQueryOrchestration:
         q = two_stage_query(gamma=3.0)
         sim.schedule(0.0, lambda: frontend.submit_query(q))
         sim.run()
-        assert frontend.dispatched == 1 + 3  # det + 3 rec
+        assert admitted(self.buffer) == 1 + 3  # det + 3 rec
 
     def test_zero_fanout_completes_without_children(self):
         sim, frontend, collector = self._setup()
         q = two_stage_query(gamma=0.0)
         sim.schedule(0.0, lambda: frontend.submit_query(q))
         sim.run()
-        assert frontend.dispatched == 1
+        assert admitted(self.buffer) == 1
         assert collector.ok_count == 1
 
     def test_fractional_fanout_mean(self):
@@ -161,7 +173,7 @@ class TestQueryOrchestration:
         for i in range(200):
             sim.schedule(i * 10.0, lambda: frontend.submit_query(q))
         sim.run()
-        rec_count = frontend.dispatched - 200
+        rec_count = admitted(self.buffer) - 200
         assert 60 <= rec_count <= 140  # mean 100, Bernoulli(0.5)
 
     def test_unroutable_stage_fails_query(self):
@@ -201,7 +213,8 @@ class TestQueryOrchestration:
 
     def test_source_root_fans_out_in_parallel(self):
         sim = Simulator()
-        backend = make_backend(sim, ["g/x", "g/y"])
+        buffer = TraceBuffer()
+        backend = make_backend(sim, ["g/x", "g/y"], tracer=Tracer([buffer]))
         table = RoutingTable()
         table.set_routes("g/x", [(backend, 1.0)])
         table.set_routes("g/y", [(backend, 1.0)])
@@ -215,5 +228,5 @@ class TestQueryOrchestration:
         q = Query("g", root, 200.0)
         sim.schedule(0.0, lambda: frontend.submit_query(q))
         sim.run()
-        assert frontend.dispatched == 3  # 2x + 1y, source free
+        assert admitted(buffer) == 3  # 2x + 1y, source free
         assert collector.ok_count == 1

@@ -98,8 +98,7 @@ class TestApplyPlan:
         pool = BackendPool(
             sim, routing,
             config=PoolConfig(pacing="greedy", overlap=False,
-                              drop_policy="lazy", interference_factor=0.4,
-                              paced=False),
+                              drop_policy="lazy", interference_factor=0.4),
         )
         pool.apply_plan(make_plan([[("a", 200.0, 50.0, 8)]]))
         backend = pool.backends[0]
@@ -108,12 +107,21 @@ class TestApplyPlan:
         assert backend.interference_factor == 0.4
 
     def test_unpaced_sessions_have_zero_duty(self):
-        sim = Simulator()
-        routing = RoutingTable()
-        pool = BackendPool(sim, routing, config=PoolConfig(paced=False))
-        pool.apply_plan(make_plan([[("a", 200.0, 50.0, 8)]]))
-        state = pool.backends[0]._sessions["a@200ms"]
-        assert state.spec.duty_cycle_ms == 0.0
+        # TF Serving's round robin and Clipper's greedy dispatch both run
+        # unpaced; only the backend's session order differs.
+        for pacing, backend_pacing in (("round_robin", "cycle"),
+                                       ("greedy", "greedy")):
+            sim = Simulator()
+            routing = RoutingTable()
+            pool = BackendPool(sim, routing, config=PoolConfig(pacing=pacing))
+            pool.apply_plan(make_plan([[("a", 200.0, 50.0, 8)]]))
+            backend = pool.backends[0]
+            assert backend.pacing == backend_pacing
+            assert backend._sessions["a@200ms"].spec.duty_cycle_ms == 0.0
+
+    def test_unknown_pacing_rejected(self):
+        with pytest.raises(ValueError, match="pacing"):
+            PoolConfig(pacing="chaotic")
 
     def test_paced_duty_capped_by_slo(self):
         sim, routing, pool = make_pool()

@@ -5,10 +5,12 @@ from outside ``src/`` (``layers.install``) and ``derive.py`` calls the
 queueing oracle directly.  A rename of any symbol it reaches for would
 otherwise surface only when the benchmark pipeline runs; this test
 installs the harness's own patches in a subprocess (they rebind module
-globals process-wide) and drives the planner through them.  It reads the
-harness and changes nothing in it.
+globals process-wide) and drives the planner, then a simulated serving
+run with a backend crash and its recovery epoch, through them.  It reads
+the harness and changes nothing in it.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -43,25 +45,43 @@ cluster = NexusCluster(ClusterConfig(expand_to_cluster=False))
 for query in all_apps("gtx1080ti", num_games=2):
     cluster.add_query(query, 20.0, "poisson")
 plan = cluster.plan()
+
+# one short serving run through the patched data path: a crash the
+# heartbeat detector sees, then the recovery epoch's redeploy
+from repro.cluster.faults import FaultPlan
+
+served = NexusCluster(ClusterConfig(dynamic=True, epoch_ms=1_000.0))
+for query in all_apps("gtx1080ti", num_games=2):
+    served.add_query(query, 20.0, "poisson")
+result = served.run(5_000.0, faults=FaultPlan().crash(500.0, 0))
 print(json.dumps({
     "p99_ms": estimate.p99_ms,
     "gpus": plan.num_gpus,
+    "detections": len(result.detections),
     "calls": {key: row[0] for key, row in rec.fn.items() if row[0]},
+    "counters": rec.counters,
+    "samples": {key: len(values) for key, values in rec.samples.items()},
 }))
 """
 
 
-def test_ledger_patches_install_and_see_the_planner():
+@functools.lru_cache(maxsize=None)
+def _run_patched() -> dict:
+    """Run the script once per test session; its JSON summary line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src"), env.get("PYTHONPATH", "")]
     ).rstrip(os.pathsep)
     proc = subprocess.run(
         [sys.executable, "-c", _SCRIPT, str(REPO / "benchmarks" / "ledger")],
-        cwd=REPO, env=env, capture_output=True, text=True, timeout=60,
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_ledger_patches_install_and_see_the_planner():
+    seen = _run_patched()
     assert seen["p99_ms"] > 0.0 and seen["gpus"] >= 1
     calls = seen["calls"]
     for span in (
@@ -77,3 +97,28 @@ def test_ledger_patches_install_and_see_the_planner():
         "core.squishy:squishy_bin_packing",
     ):
         assert calls.get(span, 0) >= 1, (span, sorted(calls))
+
+
+def test_ledger_patches_see_the_serving_path():
+    """The traced workloads read these wrappers of the serving path; a
+    signature change in a wrapped method fails here rather than in a
+    traced benchmark run."""
+    seen = _run_patched()
+    assert seen["detections"] == 1
+    calls = seen["calls"]
+    for span in (
+        "observability.tracer:Tracer.batch_executed",
+        "cluster.backend:Backend.enqueue",
+        "cluster.backend:Backend.fail",
+        "cluster.frontend:Frontend._handle_backend_failure",
+        "core.epoch:EpochScheduler.handle_failure",
+    ):
+        assert calls.get(span, 0) >= 1, (span, sorted(calls))
+    # deploy plus the recovery epoch's redeploy
+    assert calls["cluster.global_scheduler:BackendPool.apply_plan"] >= 2
+    counters, samples = seen["counters"], seen["samples"]
+    assert counters["cluster.frontend.stage_reqs"] > 0   # _dispatch_stage
+    assert counters["cluster.backend.exec_ms"] > 0       # batch_executed
+    assert samples["cluster.backend.batch_size"] > 0
+    # RuntimeCore.install_epoch_loop's wrapper times every epoch tick
+    assert samples["cluster.nexus.epoch_tick_ms"] >= 4

@@ -201,17 +201,17 @@ class TestTracerStates:
                             on_complete=on_complete, on_drop=on_drop)
                 ))
             sim.run()
-            return outcomes, backend.batches_executed
+            return outcomes, sim.events_processed
 
         buffer = TraceBuffer()
         traced_coll = MetricsCollector()
         traced = Tracer([buffer], invocation=traced_coll)
-        traced_outcomes, traced_batches = drive(traced)
+        traced_outcomes, traced_events = drive(traced)
 
-        null_outcomes, null_batches = drive(NULL_TRACER)
+        null_outcomes, null_events = drive(NULL_TRACER)
 
         assert null_outcomes == traced_outcomes
-        assert null_batches == traced_batches
+        assert null_events == traced_events
         assert any(o[0] == "done" for o in traced_outcomes)
         assert any(o[0] == "drop" for o in traced_outcomes)
         # The traced run captured the stream; the NULL_TRACER run has no
@@ -376,13 +376,22 @@ class TestAnalysis:
                 assert e1 <= s2 + 1e-6
 
     def test_batch_histogram_counts_executions(self):
+        """Every request a batch carried completed: the histogram's
+        batch-size sum equals the completions the requests' own
+        callbacks saw (no crashes, so nothing is lost in flight)."""
         sim, _coll, buffer, backend = traced_backend()
         backend.set_schedule([spec()])
+        completed = []
         for t in range(0, 50, 2):
-            submit(sim, backend, "s", float(t))
+            sim.schedule_at(t, lambda t=t: backend.enqueue(Request(
+                session_id="s", arrival_ms=t, deadline_ms=t + 100.0,
+                on_complete=lambda r, at, ok: completed.append(r),
+            )))
         sim.run()
         hist = batch_size_histogram(buffer.events)
-        assert sum(hist.values()) == backend.batches_executed
+        assert sum(size * n for size, n in hist.items()) == len(completed)
+        assert len(completed) == len(buffer.by_kind(REQUEST_COMPLETED)) > 0
+        assert sum(hist.values()) < len(completed)   # batching happened
 
     def test_session_cycle_stats_bound(self):
         """Worst observed duty-cycle latency stays near the squishy

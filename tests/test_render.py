@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro.cluster.backend import ExecutionSpan
-from repro.metrics.collector import TimeSeries
+from repro.metrics.collector import MetricsCollector, TimeSeries
 from repro.metrics.render import render_figure13, render_gantt, render_series
+from repro.observability import BATCH_EXECUTED, TraceEvent
+
+
+def span(gpu_id, session_id, start_ms, end_ms, batch):
+    return TraceEvent(start_ms, BATCH_EXECUTED, gpu_id=gpu_id,
+                      session_id=session_id, dur_ms=end_ms - start_ms,
+                      batch=batch)
 
 
 def series(values, window=1000.0):
@@ -47,24 +53,24 @@ class TestRenderSeries:
 class TestRenderGantt:
     def test_basic_strip(self):
         spans = [
-            ExecutionSpan(0, "a", 0.0, 50.0, 4),
-            ExecutionSpan(0, "b", 50.0, 100.0, 2),
-            ExecutionSpan(1, "a", 10.0, 60.0, 4),
+            span(0, "a", 0.0, 50.0, 4),
+            span(0, "b", 50.0, 100.0, 2),
+            span(1, "a", 10.0, 60.0, 4),
         ]
         out = render_gantt(spans, width=20)
         assert "gpu0" in out and "gpu1" in out
         assert "A=a" in out and "B=b" in out
 
     def test_idle_shown_as_dots(self):
-        spans = [ExecutionSpan(0, "a", 0.0, 10.0, 1),
-                 ExecutionSpan(0, "a", 90.0, 100.0, 1)]
+        spans = [span(0, "a", 0.0, 10.0, 1),
+                 span(0, "a", 90.0, 100.0, 1)]
         out = render_gantt(spans, width=20)
         row = out.splitlines()[0]
         assert "." in row
 
     def test_overlap_rejected(self):
-        spans = [ExecutionSpan(0, "a", 0.0, 60.0, 1),
-                 ExecutionSpan(0, "b", 50.0, 100.0, 1)]
+        spans = [span(0, "a", 0.0, 60.0, 1),
+                 span(0, "b", 50.0, 100.0, 1)]
         with pytest.raises(ValueError):
             render_gantt(spans)
 
@@ -72,28 +78,53 @@ class TestRenderGantt:
         assert render_gantt([]) == "(no spans)"
 
     def test_window_clipping(self):
-        spans = [ExecutionSpan(0, "a", 0.0, 10.0, 1),
-                 ExecutionSpan(0, "b", 500.0, 510.0, 1)]
+        spans = [span(0, "a", 0.0, 10.0, 1),
+                 span(0, "b", 500.0, 510.0, 1)]
         out = render_gantt(spans, start_ms=0.0, end_ms=20.0, width=10)
         assert "B=b" not in out
 
     def test_from_real_backend_trace(self):
+        """A two-GPU simulation's ``batch.executed`` events render as one
+        strip per GPU, never overlap on a GPU, and add up to the busy
+        time the invocation collector recorded."""
         from repro.cluster.backend import Backend, BackendSession
-        from repro.core.profile import LinearProfile
         from repro.cluster.messages import Request
+        from repro.core.profile import LinearProfile
+        from repro.observability import TraceBuffer, Tracer
         from repro.simulation.simulator import Simulator
 
         sim = Simulator()
-        backend = Backend(sim)
-        backend.trace_enabled = True
-        backend.set_schedule([BackendSession(
-            session_id="m",
-            profile=LinearProfile(name="m", alpha=1.0, beta=5.0, max_batch=8),
-            slo_ms=100.0, target_batch=4, duty_cycle_ms=20.0,
-        )])
-        for t in (0.0, 30.0, 60.0):
-            sim.schedule_at(t, lambda t=t: backend.enqueue(Request(
-                session_id="m", arrival_ms=t, deadline_ms=t + 100.0)))
+        collector = MetricsCollector()
+        buffer = TraceBuffer()
+        tracer = Tracer([buffer], invocation=collector)
+        backends = [Backend(sim, gpu_id=i, tracer=tracer) for i in range(2)]
+        for backend in backends:
+            backend.set_schedule([
+                BackendSession(
+                    session_id=sid,
+                    profile=LinearProfile(name=sid, alpha=1.0, beta=5.0,
+                                          max_batch=8),
+                    slo_ms=100.0, target_batch=4, duty_cycle_ms=20.0,
+                )
+                for sid in ("m", "n")
+            ])
+        for i in range(40):
+            t = i * 3.0
+            backend, sid = backends[i % 2], "mn"[i // 2 % 2]
+            sim.schedule_at(t, lambda t=t, b=backend, sid=sid: b.enqueue(
+                Request(session_id=sid, arrival_ms=t, deadline_ms=t + 100.0)))
         sim.run()
-        out = render_gantt(backend.trace, width=40)
-        assert "gpu0" in out and "A=m" in out
+
+        spans = buffer.by_kind(BATCH_EXECUTED)
+        out = render_gantt(spans, width=40)   # raises on an overlap
+        assert "gpu0" in out and "gpu1" in out
+        assert "A=m" in out and "B=n" in out
+        busy = {}
+        for gpu_id in (0, 1):
+            mine = sorted((s for s in spans if s.gpu_id == gpu_id),
+                          key=lambda s: s.ts_ms)
+            assert mine
+            for s1, s2 in zip(mine, mine[1:]):
+                assert s2.ts_ms >= s1.end_ms - 1e-9
+            busy[gpu_id] = sum(s.dur_ms for s in mine)
+        assert busy == collector.gpu_busy_ms
